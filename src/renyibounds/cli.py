@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ propagates through every formula instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np

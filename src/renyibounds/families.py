@@ -10,12 +10,10 @@ Families (all relative to a rate-lambda0 Poisson reference):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .divergence import AlphaCurve, OrderLike, as_order, poisson_renyi_rate
-from .optimize import INF
 
 
 @dataclass(frozen=True)

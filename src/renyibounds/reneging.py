@@ -15,16 +15,14 @@ mu (all rates divided by mu, the returned decay rates multiplied back).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .divergence import (AlphaCurve, OrderLike, RrbInputs, as_order,
                          poisson_renyi_rate, rrb_optimize)
-from .families import (PoissonReference, Q2, Q3, Q4, UncertaintyFamily,
-                       rdr_q2, rdr_q3, rdr_q4, family_curve)
-from .optimize import INF
+from .families import PoissonReference, Q2, Q3, UncertaintyFamily, family_curve
 from .renewal import gamma_closed_form
 
 

@@ -33,8 +33,8 @@ from scipy.special import gammaln
 
 from .divergence import OrderLike, as_order
 from .families import MarkSpec
-from .optimize import (INF, ScalarObjective, _conjugate_with_arg,
-                       fenchel_conjugate_2d, maximize_1d, minimize_1d)
+from .optimize import (INF, ScalarObjective, fenchel_conjugate_2d, maximize_1d,
+                       minimize_1d)
 
 
 class HypothesisViolationError(RuntimeError):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -146,7 +146,6 @@ class RobustBoundResult:
     gamma_star: float
     priority: Tuple[int, ...]
     boundary: bool
-    trace: List[Tuple[float, float]] = field(default_factory=list)
 
 
 def rs_objective(inst: SchedulingInstance, gamma: float, family: str = "Q2") -> float:
@@ -160,7 +159,7 @@ def rs_objective(inst: SchedulingInstance, gamma: float, family: str = "Q2") -> 
 
 
 def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2",
-                    tol: float = 1e-8, trace_grid: int = 0) -> RobustBoundResult:
+                    tol: float = 1e-8) -> RobustBoundResult:
     """Infimum of the robust risk-sensitive objective over the tilt gamma.
 
     Optimized in gamma_tilde = 1/gamma on (0, 1/beta), where the objective
@@ -175,16 +174,11 @@ def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2",
     res = minimize_1d(ScalarObjective(obj_tilde, lo=0.0, hi=1.0 / b, convexity="convex"),
                       tol=tol)
     gamma_star = 1.0 / res.arg
-    trace = []
-    if trace_grid > 0:
-        for gt in np.linspace(1e-4 / b, (1.0 - 1e-4) / b, trace_grid):
-            trace.append((1.0 / gt, obj_tilde(gt) * inst.horizon))
     return RobustBoundResult(
         bound=res.value * inst.horizon,
         gamma_star=gamma_star,
         priority=priority_order(inst, gamma_star),
         boundary=res.boundary,
-        trace=trace,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -53,7 +53,8 @@ class RenewalProcess:
 @dataclass(frozen=True)
 class CoxPiecewise:
     """Piecewise-constant deterministic intensity path, repeated cyclically
-    when cycle is set; segments are (duration, rate) pairs."""
+    when cycle is set and zero after the path ends otherwise; segments are
+    (duration, rate) pairs."""
 
     segments: Tuple[Tuple[float, float], ...]
     cycle: bool = True
@@ -75,9 +76,9 @@ class CoxPiecewise:
         rates = np.array([r for _, r in self.segments])
         edges = np.concatenate([[0.0], np.cumsum(durs)])
         period = edges[-1]
-        tt = np.mod(t, period) if self.cycle else np.minimum(t, period - 1e-12)
+        tt = np.mod(t, period) if self.cycle else t
         idx = np.clip(np.searchsorted(edges, tt, side="right") - 1, 0, len(rates) - 1)
-        return rates[idx]
+        return np.where(tt < period, rates[idx], 0.0)
 
     def integral(self, horizon: float) -> float:
         """Integral of the intensity over [0, horizon]."""
@@ -270,13 +271,16 @@ def simulate_reneging(n: int, horizon: float, arrival: ArrivalSpec,
     """Event-driven run of the many-server queue with reneging.
 
     Semantics at a shared event time: departures are realized first, then
-    same-instant arrivals join the pool, then the available-customer and
-    available-server sets are matched (lowest arrival index to lowest server
-    index), and only then do unrouted expired customers renege — routing has
-    priority over reneging at ties. Departures are driven by each server's
-    potential service process as a function of its cumulative busy time, so
-    a customer's service duration is the residual of the server's current
-    renewal cycle.
+    same-instant arrivals join the back of the FIFO queue, then waiting
+    customers are matched to idle servers (head of the queue to lowest idle
+    server index), and only then do unrouted expired customers renege —
+    routing has priority over reneging at ties. Departures are driven by each
+    server's potential service process as a function of its cumulative busy
+    time, so a customer's service duration is the residual of the server's
+    current renewal cycle.
+
+    The queue, the heap of idle servers and the counters carry over from one
+    event to the next, so each event costs O(log n).
     """
     if n < 1:
         raise ValueError("need at least one server")
@@ -297,13 +301,10 @@ def simulate_reneging(n: int, horizon: float, arrival: ArrivalSpec,
     busy = [False] * n
     busy_accum = [0.0] * n      # cumulative busy time consumed
     next_jump = [d.next_interval() for d in draws]  # busy-time of next potential departure
-    busy_start = [0.0] * n
     cust_on = [-1] * n
+    free = list(range(n))       # heap of idle server ids
 
-    routed_flag = [False] * len(arrivals)
-    reneged_flag = [False] * len(arrivals)
-
-    queue: List[int] = []       # waiting customer indices, FIFO (= index order)
+    waiting: Dict[int, None] = {}  # waiting customer indices, FIFO (= insertion order)
     events: List[Tuple[float, int, int, int]] = []  # (t, kind, seq, id)
     seq = 0
     for i, t in enumerate(arrivals):
@@ -334,54 +335,52 @@ def simulate_reneging(n: int, horizon: float, arrival: ArrivalSpec,
         for j in departing:
             state.departed += 1
             state.server_departed[j] += 1
+            state.busy -= 1
             log.append((t0, "departure", cust_on[j], j))
             busy[j] = False
             cust_on[j] = -1
+            heapq.heappush(free, j)
             busy_accum[j] = next_jump[j]
             next_jump[j] = busy_accum[j] + draws[j].next_interval()
 
-        # 2. same-instant arrivals join the matching pool
-        for i in sorted(arriving):
+        # 2. same-instant arrivals (popped in index order, since seq == index)
+        #    join the back of the queue
+        for i in arriving:
             state.arrived += 1
             log.append((t0, "arrival", i, -1))
+            waiting[i] = None
 
-        # 3. AV-set matching: queued + arriving customers vs free servers
-        av_cust = queue + sorted(arriving)
-        av_serv = [j for j in range(n) if not busy[j]]
-        k_hat = min(len(av_cust), len(av_serv))
-        matched = av_cust[:k_hat]
-        for i, j in zip(matched, av_serv[:k_hat]):
-            routed_flag[i] = True
+        # 3. matching: head of the queue to lowest free server
+        while waiting and free:
+            i = next(iter(waiting))
+            del waiting[i]
+            j = heapq.heappop(free)
             state.routed += 1
             state.server_routed[j] += 1
+            state.busy += 1
             busy[j] = True
-            busy_start[j] = t0
             cust_on[j] = i
             log.append((t0, "routing", i, j))
             heapq.heappush(events, (t0 + (next_jump[j] - busy_accum[j]), _DEPART, seq, j))
             seq += 1
-        queue = [i for i in queue if not routed_flag[i]]
 
-        # 4. queue the unrouted arrivals, schedule their patience expiry
-        for i in sorted(arriving):
-            if not routed_flag[i]:
-                queue.append(i)
+        # 4. schedule the patience expiry of the arrivals left waiting
+        for i in arriving:
+            if i in waiting:
                 heapq.heappush(events, (t0 + float(patience_vals[i]), _EXPIRE, seq, i))
                 seq += 1
 
         # 5. reneging: expired and still waiting
         for i in expiring:
-            if not routed_flag[i] and not reneged_flag[i]:
-                reneged_flag[i] = True
+            if i in waiting:
+                del waiting[i]
                 state.reneged += 1
                 log.append((t0, "reneging", i, -1))
-        queue = [i for i in queue if not reneged_flag[i]]
 
         # busy-time bookkeeping for servers that remained busy through t0 is
         # implicit: accumulation happens only at departures
         state.clock = t0
-        state.queued = len(queue)
-        state.busy = sum(busy)
+        state.queued = len(waiting)
         if assert_mode:
             state.check()
 
@@ -533,7 +532,6 @@ def mc_renyi_rate(q_spec: Union[PoissonProcess, CoxPiecewise, RenewalProcess],
 
     if isinstance(q_spec, CoxPiecewise):
         if sampling == "tilted":
-            lam = np.array([r for _, r in q_spec.segments])
             tilted = CoxPiecewise(tuple((d, r ** al * ref_rate ** (1.0 - al))
                                         for d, r in q_spec.segments), q_spec.cycle)
             # the jump terms cancel exactly; log-weight is deterministic

@@ -67,6 +67,10 @@ def test_cox_path_occupation():
     assert abs(low / (low + high) - 0.2) < 0.01
     one_shot = CoxPiecewise(((1.0, 3.0),), cycle=False)
     assert abs(one_shot.integral(10.0) - 3.0) < 1e-12
+    # without cycling the intensity is zero after the path ends
+    assert np.array_equal(one_shot.intensity([0.0, 0.5, 1.0, 4.0]), [3.0, 3.0, 0.0, 0.0])
+    times = np.concatenate([sample_cox_path(one_shot, 5.0, rng) for _ in range(50)])
+    assert times.size > 0 and times.max() < 1.0
 
 
 def test_deterministic_arrival_spec():
@@ -210,6 +214,16 @@ def test_mc_rate_reference_sampling_mild_case():
     want = poisson_renyi_rate(1.2, 1.5)
     assert est.estimable
     assert abs(est.point - want) < 3.0 * est.std_err + 1e-3
+
+
+@pytest.mark.parametrize("cycle", [True, False])
+def test_mc_rate_cox_tilted_agrees_with_reference(cycle):
+    # the path ends at t = 2 < horizon, so cycle=False exercises the zero tail
+    spec = CoxPiecewise(((1.0, 1.2), (1.0, 0.9)), cycle=cycle)
+    tilted = mc_renyi_rate(spec, 1.0, 1.5, horizon=3.0, reps=4000)
+    ref = mc_renyi_rate(spec, 1.0, 1.5, horizon=3.0, reps=4000, sampling="reference")
+    assert ref.estimable
+    assert abs(tilted.point - ref.point) < 4.0 * ref.std_err
 
 
 def test_mc_rate_renewal_tilted_tracks_closed_form():
