@@ -2,7 +2,7 @@
 robust bounds for the scheduling and reneging case studies, and simulator
 runs, emitted as CSV or JSON.
 
-Exit codes: 0 success, 1 configuration error, 2 unestimable or
+Exit codes: 0 success, 1 configuration or usage error, 2 unestimable or
 hypothesis-refused. Reruns with identical config and seed produce
 byte-identical output. CSV uses fixed header rows, '.' decimals, no locale
 dependence. The RENYIBOUNDS_OUTPUT_DIR environment variable supplies a
@@ -27,6 +27,7 @@ from . import reneging as ren_mod
 from . import renewal as rnw_mod
 from . import scheduling as sch_mod
 from . import sim as sim_mod
+from .divergence import as_order
 
 
 class ConfigError(Exception):
@@ -50,9 +51,23 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"input file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON in {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return cfg
+
+
+def _cfg_value(cfg: dict, key: str, default=None, kind=float):
+    """cfg[key], or default when absent, converted by kind. A missing key
+    without a default, or a value kind rejects, is a ConfigError."""
+    if key not in cfg and default is None:
+        raise ConfigError(f"config needs {key!r}")
+    try:
+        return kind(cfg.get(key, default))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"bad {key!r} in config: {e}")
 
 
 def _write_output(text: str, path: Optional[str]):
@@ -100,18 +115,22 @@ def _family_label(d: dict) -> str:
 def cmd_rdr_family(args) -> int:
     cfg = _load_config(args.input)
     descriptors = cfg.get("families", _DEFAULT_FAMILIES)
-    ref = fam_mod.reference_from_dict(cfg.get("reference", {"rate": 1.0}))
-    alpha_max = args.alpha_max if args.alpha_max is not None else float(cfg.get("alpha_max", 4.0))
-    grid_points = args.grid_points if args.grid_points is not None else int(cfg.get("grid_points", 60))
-    alpha_min = float(cfg.get("alpha_min", 1.01))
+    try:
+        ref = fam_mod.reference_from_dict(cfg.get("reference", {"rate": 1.0}))
+    except (AttributeError, ValueError, TypeError) as e:
+        raise ConfigError(f"bad reference: {e}")
+    alpha_max = args.alpha_max if args.alpha_max is not None else _cfg_value(cfg, "alpha_max", 4.0)
+    grid_points = (args.grid_points if args.grid_points is not None
+                   else _cfg_value(cfg, "grid_points", 60, int))
+    alpha_min = _cfg_value(cfg, "alpha_min", 1.01)
     if not (1.0 < alpha_min < alpha_max) or grid_points < 2:
         raise ConfigError("need 1 < alpha_min < alpha_max and at least 2 grid points")
     alphas = np.linspace(alpha_min, alpha_max, grid_points)
 
     labels, curves = [], []
     for d in descriptors:
-        labels.append(_family_label(d))
         try:
+            labels.append(_family_label(d))
             fam = fam_mod.family_from_dict(d)
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"bad family descriptor {d!r}: {e}")
@@ -158,12 +177,15 @@ def cmd_rdr_renewal(args) -> int:
         raise ConfigError("config needs a 'spec' entry")
     spec = _renewal_spec_from_dict(cfg["spec"])
     alphas = cfg.get("alpha", 2.0)
-    if not isinstance(alphas, list):
-        alphas = [alphas]
+    try:
+        alphas = [as_order(float(al)).alpha
+                  for al in (alphas if isinstance(alphas, list) else [alphas])]
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"bad 'alpha' in config: {e}")
     g3_override = bool(cfg.get("g3_override", False))
     reports, any_refused = [], False
     for al in alphas:
-        rep = rnw_mod.bound_report(spec, float(al), g3_override=g3_override)
+        rep = rnw_mod.bound_report(spec, al, g3_override=g3_override)
         any_refused = any_refused or bool(rep.refused)
         d = dataclasses.asdict(rep)
         d.pop("diagnostics", None)
@@ -196,10 +218,11 @@ def cmd_bound_scheduling(args) -> int:
     curve = cfg.get("curve", "reference")
     if curve not in ("reference", "Q2", "Q3"):
         raise ConfigError("curve must be 'reference', 'Q2' or 'Q3'")
-    delta = float(cfg["delta"]) if curve != "reference" else None
-    grid_points = args.grid_points if args.grid_points is not None else int(cfg.get("grid_points", 60))
-    beta_lo = float(cfg.get("beta_min", 0.1))
-    beta_hi = float(cfg.get("beta_max", 15.0))
+    delta = _cfg_value(cfg, "delta") if curve != "reference" else None
+    grid_points = (args.grid_points if args.grid_points is not None
+                   else _cfg_value(cfg, "grid_points", 60, int))
+    beta_lo = _cfg_value(cfg, "beta_min", 0.1)
+    beta_hi = _cfg_value(cfg, "beta_max", 15.0)
     if not (0 < beta_lo < beta_hi) or grid_points < 2:
         raise ConfigError("need 0 < beta_min < beta_max and at least 2 grid points")
 
@@ -221,19 +244,19 @@ def cmd_bound_scheduling(args) -> int:
 def cmd_bound_reneging(args) -> int:
     cfg = _load_config(args.input)
     try:
-        inst = ren_mod.RenegingInstance(lam=float(cfg.get("lam", 2.0)),
-                                        mu=float(cfg.get("mu", 1.0)),
-                                        theta=float(cfg.get("theta", 1.0)))
-        delta = float(cfg.get("delta", 0.3))
+        inst = ren_mod.RenegingInstance(lam=_cfg_value(cfg, "lam", 2.0),
+                                        mu=_cfg_value(cfg, "mu", 1.0),
+                                        theta=_cfg_value(cfg, "theta", 1.0))
+        families = ren_mod.default_families(delta=_cfg_value(cfg, "delta", 0.3))
     except ValueError as e:
         raise ConfigError(str(e))
-    grid_points = args.grid_points if args.grid_points is not None else int(cfg.get("grid_points", 60))
+    grid_points = (args.grid_points if args.grid_points is not None
+                   else _cfg_value(cfg, "grid_points", 60, int))
     g0 = inst.gamma0
-    g_lo = float(cfg.get("gamma_min", g0))
-    g_hi = float(cfg.get("gamma_max", g0 + 3.0))
+    g_lo = _cfg_value(cfg, "gamma_min", g0)
+    g_hi = _cfg_value(cfg, "gamma_max", g0 + 3.0)
     if not (g0 - 1e-12 <= g_lo < g_hi) or grid_points < 2:
         raise ConfigError("need gamma0 <= gamma_min < gamma_max and at least 2 grid points")
-    families = ren_mod.default_families(delta=delta)
     rows = ren_mod.figure3_data(inst, families,
                                 gamma_grid=np.linspace(g_lo, g_hi, grid_points),
                                 bare_bracket=args.bare_bracket)
@@ -291,8 +314,8 @@ def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool, threads: int
         service = cfg["service"]
         reps = int(cfg.get("replications", 1))
         initial = int(cfg.get("initial_customers", 0))
-    except KeyError as e:
-        raise ConfigError(f"scenario missing field {e}")
+    except (KeyError, ValueError, TypeError) as e:
+        raise ConfigError(f"bad reneging scenario: {e}")
     if isinstance(service, list):
         services = [_service_from_dict(s) for s in service]
     else:
@@ -364,7 +387,7 @@ def cmd_simulate(args) -> int:
     if not cfg:
         raise ConfigError("simulate requires --input with a scenario file")
     model = cfg.get("model")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _cfg_value(cfg, "seed", 0, int)
     exit_code = 0
     if model == "reneging":
         payload = _run_reneging_scenario(cfg, seed, args.assert_mode, args.threads)
@@ -400,41 +423,56 @@ def cmd_simulate(args) -> int:
 
 # -- entry point ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so that it exits 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renyibounds",
         description="Divergence rates, robust queueing bounds, and simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--seed": dict(type=int, default=None),
+        "--grid-points": dict(type=int, default=None, dest="grid_points"),
+        "--alpha-max": dict(type=float, default=None, dest="alpha_max"),
+        "--assert": dict(action="store_true", dest="assert_mode",
+                         help="enable simulator invariant assertions"),
+        "--bare-bracket": dict(action="store_true", dest="bare_bracket",
+                               help="bare-bracket normalization of the Gamma-box penalty"),
+    }
     specs = [
-        ("rdr-family", cmd_rdr_family, "CSV sweep of family divergence rates over alpha"),
-        ("rdr-renewal", cmd_rdr_renewal, "JSON bound report for a renewal density"),
-        ("bound-scheduling", cmd_bound_scheduling, "CSV of robust risk-sensitive scheduling bounds over beta"),
-        ("bound-reneging", cmd_bound_reneging, "CSV of robust reneging decay bounds over gamma"),
-        ("simulate", cmd_simulate, "run a simulation scenario, JSON result"),
+        ("rdr-family", cmd_rdr_family, "CSV sweep of family divergence rates over alpha",
+         ("--grid-points", "--alpha-max")),
+        ("rdr-renewal", cmd_rdr_renewal, "JSON bound report for a renewal density", ()),
+        ("bound-scheduling", cmd_bound_scheduling,
+         "CSV of robust risk-sensitive scheduling bounds over beta", ("--grid-points",)),
+        ("bound-reneging", cmd_bound_reneging, "CSV of robust reneging decay bounds over gamma",
+         ("--grid-points", "--bare-bracket")),
+        ("simulate", cmd_simulate, "run a simulation scenario, JSON result",
+         ("--seed", "--assert")),
     ]
-    for name, fn, help_text in specs:
+    for name, fn, help_text, own_flags in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="JSON config / scenario file")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-        p.add_argument("--alpha-max", type=float, default=None, dest="alpha_max")
-        p.add_argument("--assert", action="store_true", dest="assert_mode",
-                       help="enable simulator invariant assertions")
-        p.add_argument("--bare-bracket", action="store_true", dest="bare_bracket",
-                       help="bare-bracket normalization of the Gamma-box penalty")
         p.add_argument("--threads", type=int, default=1,
                        help="worker cap for replication batches")
+        for flag in own_flags:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
+        args = _build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
         return args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

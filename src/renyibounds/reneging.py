@@ -103,40 +103,21 @@ class CompositeFamily:
         return self.arrival_envelope[1] * self.patience_envelope[1]
 
 
-def gamma_box_r2(box: GammaBox, a: OrderLike, bare_bracket: bool = False,
-                 grid: int = 60) -> float:
+def gamma_box_r2(box: GammaBox, a: OrderLike, bare_bracket: bool = False) -> float:
     """Supremum of the Gamma closed-form rate over the (k, rho) rectangle.
 
-    Dense grid plus local refinement; the value is increasing in rho, so the
-    rho-supremum sits at rho_hi (verified, not assumed, by the grid).
-    With bare_bracket the bare bracket (the closed form times
+    The maximum over a 60 x 60 grid of the rectangle, which includes its four
+    corners. The supremum sat at a corner at every order probed, but the
+    closed form is not convex in k near k = 1 (its second differences in k
+    are negative for small rho - 1), so the corners alone are not proven to
+    suffice. With bare_bracket the bare bracket (the closed form times
     alpha(alpha-1)) is returned instead of the divergence-rate normalization.
     """
     al = as_order(a).alpha
-
-    def val(k: float, rho: float) -> float:
-        v = gamma_closed_form(k, rho, al)
-        return v * al * (al - 1.0) if bare_bracket else v
-
-    # verify (not assume) that rho_hi dominates, on a coarse k x rho grid
-    ks_coarse = np.linspace(box.k_lo, box.k_hi, 8)
-    rs_coarse = np.linspace(box.rho_lo, box.rho_hi, 8)
-    for k in ks_coarse:
-        col = [val(k, r) for r in rs_coarse]
-        if any(col[j] > col[-1] + 1e-12 for j in range(len(col) - 1)):
-            # fall back to a full dense grid if monotonicity in rho fails
-            return float(max(val(k2, r2)
-                             for k2 in np.linspace(box.k_lo, box.k_hi, grid)
-                             for r2 in np.linspace(box.rho_lo, box.rho_hi, grid)))
-    ks = np.linspace(box.k_lo, box.k_hi, max(grid, 120))
-    vals = np.array([val(k, box.rho_hi) for k in ks])
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    k_lo = ks[max(i - 1, 0)]
-    k_hi = ks[min(i + 1, len(ks) - 1)]
-    for k in np.linspace(k_lo, k_hi, 60):
-        best = max(best, val(k, box.rho_hi))
-    return best
+    k, rho = np.meshgrid(np.linspace(box.k_lo, box.k_hi, 60),
+                         np.linspace(box.rho_lo, box.rho_hi, 60))
+    best = float(np.max(gamma_closed_form(k, rho, al)))
+    return best * al * (al - 1.0) if bare_bracket else best
 
 
 def _service_curve(fam: ServiceFamily, bare_bracket: bool) -> AlphaCurve:

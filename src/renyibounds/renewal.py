@@ -348,15 +348,22 @@ def exponential_exact_rdr(rho: float, a: OrderLike) -> float:
     return (rho ** al - 1.0 - al * (rho - 1.0)) / (al * (al - 1.0))
 
 
-def gamma_closed_form(k: float, rho: float, a: OrderLike) -> float:
+def gamma_closed_form(k, rho, a: OrderLike):
     """Closed-form divergence-rate bound for a Gamma(k, rho) renewal process,
-    k >= 1, rho > 1. Reduces to the exact exponential value at k = 1."""
-    if k < 1 or rho <= 1:
+    k >= 1, rho > 1. Reduces to the exact exponential value at k = 1.
+
+    k and rho may be arrays, which broadcast against each other; a value
+    that overflows is inf. Scalar k and rho give a float."""
+    k = np.asarray(k, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if np.any(k < 1) or np.any(rho <= 1):
         raise ValueError("requires k >= 1 and rho > 1")
     al = as_order(a).alpha
     s = 1.0 + al * (k - 1.0)
-    log_a = (gammaln(s) - al * gammaln(k) + al * k * math.log(rho)) / s
-    return (math.exp(log_a) - al * (rho - 1.0) - 1.0) / (al * (al - 1.0))
+    log_a = (gammaln(s) - al * gammaln(k) + al * k * np.log(rho)) / s
+    with np.errstate(over="ignore"):
+        v = (np.exp(log_a) - al * (rho - 1.0) - 1.0) / (al * (al - 1.0))
+    return float(v) if v.ndim == 0 else v
 
 
 def phase_type_envelope_bound(C: float, sigma: float, a: OrderLike) -> float:

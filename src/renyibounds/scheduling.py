@@ -210,8 +210,7 @@ def w_bruteforce(inst: SchedulingInstance, gamma: float, step: float = 0.02) -> 
     return best
 
 
-def rs_duality_check(q: FiniteDistribution, p: FiniteDistribution,
-                     g: Sequence[float], beta: float, gamma: float,
+def rs_duality_check(p: FiniteDistribution, g: Sequence[float], beta: float, gamma: float,
                      grid_step: float = 0.01) -> float:
     """Residual of the risk-sensitive duality identity on a finite space.
 

@@ -1,10 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from renyibounds.cli import main
+from renyibounds.cli import _build_parser, main
 from renyibounds.divergence import poisson_renyi_rate
 from renyibounds.reneging import FIG3_COLUMNS
 
@@ -50,13 +51,60 @@ def test_rdr_family_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_missing_input_exits_one(tmp_path, capsys):
-    missing = str(tmp_path / "nope.json")
-    assert main(["rdr-family", "--input", missing]) == 1
-    assert missing in capsys.readouterr().err
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["rdr-family", "--input", str(bad)]) == 1
+RENEGING_SCENARIO = {"model": "reneging", "n": 1, "t": 1.0,
+                     "arrival": {"kind": "poisson", "rate": 1.0},
+                     "patience": {"kind": "exponential", "rate": 1.0},
+                     "service": {"kind": "poisson", "rate": 1.0}}
+EXPONENTIAL_SPEC = {"kind": "exponential", "rho": 2.0}
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["rdr-family", "--input", "missing.json"], None, "missing.json"),
+    (["rdr-family", "--input", "cfg.json"], "{not json", "invalid JSON"),
+    (["bound-reneging", "--input", "cfg.json"], [2.0], "must hold a JSON object"),
+    (["bound-reneging", "--input", "cfg.json"], {"grid_points": "x"}, "'grid_points'"),
+    (["bound-scheduling", "--input", "cfg.json"], {**SCHED, "curve": "Q2"}, "'delta'"),
+    (["bound-scheduling", "--input", "cfg.json"], {**SCHED, "beta_min": "x"}, "'beta_min'"),
+    (["rdr-family", "--input", "cfg.json"], {"alpha_min": "x"}, "'alpha_min'"),
+    (["rdr-family", "--input", "cfg.json"], {"families": [{"family": "Q2", "a": 0.5}]},
+     "bad family descriptor"),
+    (["rdr-renewal", "--input", "cfg.json"], {"spec": EXPONENTIAL_SPEC, "alpha": "x"},
+     "'alpha'"),
+    (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "replications": "x"},
+     "bad reneging scenario"),
+    (["bound-reneging", "--seed", "3"], None, "unrecognized arguments: --seed 3"),
+    (["rdr-family", "--grid-points", "x"], None, "invalid int value"),
+    (["nope"], None, "invalid choice"),
+    ([], None, "required"),
+], ids=["missing-file", "bad-json", "not-an-object", "reneging-grid-points",
+        "scheduling-no-delta", "scheduling-beta-min", "family-alpha-min", "family-without-b",
+        "renewal-alpha", "simulate-replications", "unknown-flag", "bad-flag-value",
+        "unknown-command", "no-command"])
+def test_missing_input_exits_one(tmp_path, monkeypatch, capsys, argv, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound-reneging", "--help"])
+    assert exc.value.code == 0
+    assert "--bare-bracket" in capsys.readouterr().out
+
+
+SUBCOMMANDS = _build_parser()._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_every_flag_is_read_by_its_handler(name):
+    sub = SUBCOMMANDS[name]
+    source = inspect.getsource(sub.get_default("fn"))
+    # --threads is read by main's check for every command and by simulate
+    dests = {a.dest for a in sub._actions if a.option_strings} - {"help", "threads"}
+    assert sorted(d for d in dests if f"args.{d}" not in source) == []
 
 
 def test_rdr_renewal_report_and_refusal_exit(tmp_path):

@@ -89,9 +89,35 @@ def test_pinned_values_at_gamma_two():
     assert got["Q3"] > -1e-6
 
 
-def test_gamma_box_supremum():
+BOX_ORDERS = (1.05, 1.6, 2.5, 6.8, 10.75, 75.8)
+
+# recorded before the Gamma-box supremum became one 60 x 60 array evaluation
+GAMMA_BOX_PINS = {
+    "gammabox_small": (0.006770863678313375, 0.00631706087887244, 0.005693913874615338,
+                       0.005880385135599606, 0.00678294550750068, 0.2405866974826034),
+    "gammabox_large": (0.10895677093674318, 0.11785078222779816, 0.1348469228349535,
+                       0.2879076608476759, 0.6848836470141677, 3927775283.7008805),
+}
+GAMMA_BOX_BOUND_PINS = {
+    "gammabox_small": (-0.10566729995181186, 5.037104862111094),
+    "gammabox_large": (-0.004390060433179469, 1.184041158464302),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_BOX_PINS))
+def test_gamma_box_pinned_values(name):
+    fam = default_families()[name]
+    for al, want in zip(BOX_ORDERS, GAMMA_BOX_PINS[name]):
+        assert gamma_box_r2(fam.service_family, al) == pytest.approx(want, rel=1e-12)
+    bound, a_star = robust_reneging_bound(INST.at(2.0), fam)
+    want_bound, want_alpha = GAMMA_BOX_BOUND_PINS[name]
+    assert abs(bound - want_bound) < 1e-9
+    assert a_star == pytest.approx(want_alpha, rel=1e-6)
+
+
+@pytest.mark.parametrize("al", sorted(BOX_ORDERS + (2.0,)))
+def test_gamma_box_supremum(al):
     box = GammaBox(1.0, 1.5, 1.0 + 1e-9, 1.5)
-    al = 2.0
     v = gamma_box_r2(box, al)
     # the supremum dominates every probed corner and interior point
     for k in np.linspace(1.0, 1.5, 25):

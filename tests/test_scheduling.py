@@ -111,16 +111,16 @@ def test_penalty_vanishes_without_envelopes():
 
 
 def test_duality_residual_small_and_one_sided():
-    q = FiniteDistribution((0.5, 0.3, 0.2))
+    p = FiniteDistribution((0.5, 0.3, 0.2))
     g = (0.4, -0.2, 1.0)
-    coarse = rs_duality_check(q, q, g, beta=1.0, gamma=3.0, grid_step=0.05)
-    fine = rs_duality_check(q, q, g, beta=1.0, gamma=3.0, grid_step=0.01)
+    coarse = rs_duality_check(p, g, beta=1.0, gamma=3.0, grid_step=0.05)
+    fine = rs_duality_check(p, g, beta=1.0, gamma=3.0, grid_step=0.01)
     assert coarse <= 1e-9
     assert fine <= 1e-9
     assert fine >= coarse - 1e-12  # refinement approaches the identity
     assert fine > -2e-3
     with pytest.raises(ValueError):
-        rs_duality_check(q, q, g, beta=3.0, gamma=1.0)
+        rs_duality_check(p, g, beta=3.0, gamma=1.0)
 
 
 def test_moment_scaling_map_is_convex():
