@@ -195,18 +195,29 @@ def reference_bound(inst: SchedulingInstance, tol: float = 1e-8) -> RobustBoundR
 # -- oracles and probes -----------------------------------------------------
 
 def w_bruteforce(inst: SchedulingInstance, gamma: float, step: float = 0.02) -> float:
-    """Brute-force simplex-grid minimum of the W objective (test oracle)."""
+    """Brute-force simplex-grid minimum of the W objective (test oracle).
+
+    Tries every u = step * c for an integer composition c with sum(c) <= 1/step.
+    The last two coordinates are enumerated as one array for each choice of
+    the leading ones, so memory stays at (1/step + 1)^2 points.
+    """
     lam_hat, mu_hat = tilted_rates(inst, gamma)
     n = inst.num_classes
     m = int(round(1.0 / step))
+    lead = max(n - 2, 0)
+    tail = np.array(list(itertools.product(range(m + 1), repeat=n - lead)), dtype=float)
+    tail_sum = tail.sum(axis=1)
+    comps = np.empty((len(tail), n))
+    comps[:, lead:] = tail
     best = INF
-    # enumerate integer compositions with sum <= m
-    for comp in itertools.product(range(m + 1), repeat=n):
-        if sum(comp) > m:
+    for head in itertools.product(range(m + 1), repeat=lead):
+        room = m - sum(head)
+        if room < 0:
             continue
-        u = np.asarray(comp, dtype=float) * step
-        val = float(np.sum(np.maximum(lam_hat - u * mu_hat, 0.0)))
-        best = min(best, val)
+        comps[:, :lead] = head
+        u = comps[tail_sum <= room] * step
+        vals = np.sum(np.maximum(lam_hat - u * mu_hat, 0.0), axis=1)
+        best = min(best, float(vals.min()))
     return best
 
 

@@ -130,6 +130,37 @@ def test_gamma_box_supremum(al):
         GammaBox(1.0, 1.5, 0.9, 1.5)
 
 
+WIDE_BOXES = (GammaBox(1.2, 3.0, 1.05, 2.5), GammaBox(1.0, 4.0, 1.01, 3.0))
+EDGE_ORDERS = 1.0 + np.geomspace(1e-4, 100.0, 40)
+
+
+def _all_boxes():
+    fams = default_families()
+    return (fams["gammabox_small"].service_family,
+            fams["gammabox_large"].service_family) + WIDE_BOXES
+
+
+@pytest.mark.parametrize("box", _all_boxes(), ids=("small", "large", "wide1", "wide2"))
+def test_gamma_box_edges_match_full_grid(box):
+    # independent oracle: the maximum over the whole 60 x 60 grid of the box
+    k, rho = np.meshgrid(np.linspace(box.k_lo, box.k_hi, 60),
+                         np.linspace(box.rho_lo, box.rho_hi, 60))
+    for al in EDGE_ORDERS:
+        full = float(np.max(gamma_closed_form(k, rho, al)))
+        assert gamma_box_r2(box, al) == pytest.approx(full, rel=1e-12)
+
+    # the edge reduction rests on convexity in rho: midpoint check at random points
+    rng = np.random.default_rng(5)
+    for al in EDGE_ORDERS:
+        ks = rng.uniform(box.k_lo, box.k_hi, 200)
+        r1, r2 = (rng.uniform(box.rho_lo, box.rho_hi, 200) for _ in range(2))
+        f1, f2 = gamma_closed_form(ks, r1, al), gamma_closed_form(ks, r2, al)
+        mid = gamma_closed_form(ks, 0.5 * (r1 + r2), al)
+        # rounding of the bracket, divided by alpha(alpha - 1)
+        scale = np.maximum(np.abs(f1), np.abs(f2)) + (al * box.rho_hi + 1.0) / (al * (al - 1.0))
+        assert np.all(mid <= 0.5 * (f1 + f2) + 1e-12 * scale)
+
+
 def test_anchored_service_family_limits_alpha():
     fam = CompositeFamily(service_family=Q4(alpha0=2.0, u=0.1))
     bound, a_star = robust_reneging_bound(INST.at(2.0), fam)
