@@ -9,13 +9,12 @@ from .divergence import (AlphaCurve, FiniteDistribution, RenyiOrder, RrbInputs,
 from .families import (MarkSpec, PoissonReference, Q1, Q2, Q3, Q4,
                        family_curve, family_from_dict, family_to_dict,
                        rdr_q1, rdr_q2, rdr_q3, rdr_q4, reference_from_dict)
-from .optimize import (INF, OptResult, ScalarObjective, fenchel_conjugate_2d,
-                       maximize_1d, minimize_1d)
+from .optimize import INF, OptResult, ScalarObjective, maximize_1d, minimize_1d
 from .renewal import (BoundReport, HypothesisViolationError, RenewalSpec,
                       bound_report, exponential_exact_rdr, exponential_spec,
                       g1_bound, g2_bound, g3_bound, gamma_closed_form,
-                      gamma_spec, legendre_transform, mixture_exp_spec,
-                      phase_type_envelope_bound, rough_bound, table_spec)
+                      gamma_spec, mixture_exp_spec, phase_type_envelope_bound,
+                      rough_bound, table_spec)
 from .reneging import (CompositeFamily, GammaBox, RenegingInstance,
                        default_families, figure3_data, gamma_box_r2,
                        reference_decay, robust_reneging_bound, z_of_gamma)

@@ -188,7 +188,6 @@ def cmd_rdr_renewal(args) -> int:
         rep = rnw_mod.bound_report(spec, al, g3_override=g3_override)
         any_refused = any_refused or bool(rep.refused)
         d = dataclasses.asdict(rep)
-        d.pop("diagnostics", None)
         d["spec"] = spec.name
         reports.append(d)
     payload = reports[0] if len(reports) == 1 else {"reports": reports}

@@ -1,4 +1,4 @@
-"""Scalar convex search on open intervals and numeric convex conjugates.
+"""Scalar convex search on open intervals.
 
 All 1-D searches run on a smoothly transformed unbounded coordinate so that
 open interval endpoints (where the objectives of interest typically blow up)
@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-from scipy import optimize as sciopt
 
 INF = float("inf")
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_BIG = 1e300
 
 
 @dataclass(frozen=True)
@@ -164,59 +162,3 @@ def maximize_1d(obj: ScalarObjective, tol: float = 1e-8, **kw) -> OptResult:
     res = minimize_1d(neg, tol=tol, **kw)
     res.value = -res.value
     return res
-
-
-_FY_PROBES = np.random.default_rng(20240817).normal(size=(20, 2)) * 2.0
-
-
-def _conjugate_with_arg(
-    f: Callable[[Sequence[float]], float],
-    x: Sequence[float],
-    starts: Optional[Sequence[Sequence[float]]] = None,
-    maxiter: int = 600,
-    xatol: float = 1e-10,
-    fatol: float = 1e-13,
-):
-    x = np.asarray(x, dtype=float)
-    opts = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
-
-    def neg_phi(lam: np.ndarray) -> float:
-        fv = f(lam)
-        if not np.isfinite(fv):
-            return _BIG
-        return fv - float(lam @ x)
-
-    if starts is None:
-        g = (-1.0, 0.0, 1.0)
-        starts = [np.array([u, v]) for u in g for v in g]
-    best_val, best_lam = -INF, np.zeros(2)
-    for s0 in starts:
-        r = sciopt.minimize(neg_phi, np.asarray(s0, dtype=float), method="Nelder-Mead",
-                            options=opts)
-        v = -r.fun
-        if v > best_val:
-            best_val, best_lam = v, r.x
-    # Fenchel-Young audit: any probe beating the incumbent restarts the ascent
-    for lam in _FY_PROBES:
-        fv = f(lam)
-        if np.isfinite(fv) and float(lam @ x) - fv > best_val + 1e-10:
-            r = sciopt.minimize(neg_phi, lam, method="Nelder-Mead", options=opts)
-            if -r.fun > best_val:
-                best_val, best_lam = -r.fun, r.x
-    if best_val > 1e12 or np.max(np.abs(best_lam)) > 1e8:
-        return INF, best_lam
-    return best_val, best_lam
-
-
-def fenchel_conjugate_2d(f: Callable[[Sequence[float]], float], x: Sequence[float],
-                         starts: Optional[Sequence[Sequence[float]]] = None,
-                         **budget) -> float:
-    """Numeric Legendre-Fenchel conjugate sup_lam <lam, x> - f(lam) on R^2.
-
-    f must be convex with f(0) finite; +inf values of f mark the outside of
-    its effective domain. Returns +inf when the supremum is unbounded (x
-    outside the closure of the gradient range). Keyword arguments cap the
-    inner search budget (maxiter, xatol, fatol).
-    """
-    val, _ = _conjugate_with_arg(f, x, starts=starts, **budget)
-    return val

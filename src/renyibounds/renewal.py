@@ -27,14 +27,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import simpson, trapezoid
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaincc, gammaincinv, gammaln
 
 from .divergence import OrderLike, as_order
 from .families import MarkSpec
-from .optimize import (INF, ScalarObjective, fenchel_conjugate_2d, maximize_1d,
-                       minimize_1d)
+from .optimize import INF, ScalarObjective, maximize_1d, minimize_1d
 
 
 class HypothesisViolationError(RuntimeError):
@@ -111,6 +108,7 @@ class RenewalSpec:
             slope = -INF
         if slope > -1e-6:
             return INF
+        from scipy.integrate import simpson
         integral = simpson(np.exp(li - m), x=x)
         if np.isfinite(slope):
             integral += math.exp(li[-1] - m) / (-slope)
@@ -128,9 +126,6 @@ class RenewalSpec:
         with np.errstate(over="ignore"):
             return math.exp(b) if b < 700 else INF
 
-    def tilt(self) -> "ExponentialTilt":
-        return ExponentialTilt(gamma_fn=self.gamma_val, beta_fn=self.beta)
-
     def validate(self, atol: float = 1e-8):
         """Quadrature sanity: density integrates to 1, gamma(0) = 1."""
         total = math.exp(self.beta(0.0, 1.0))  # integral of g = e^{beta(0,1)}
@@ -138,17 +133,6 @@ class RenewalSpec:
             raise ValueError(f"density integrates to {total}, not 1")
         if abs(self.gamma_val(0.0) - 1.0) > atol:
             raise ValueError("gamma(0) != 1")
-
-
-@dataclass(frozen=True)
-class ExponentialTilt:
-    gamma_fn: Callable[[float], float]
-    beta_fn: Callable[[float, float], float]
-
-    def validate(self, atol: float = 1e-8):
-        assert abs(self.gamma_fn(0.0) - 1.0) <= atol
-        assert abs(self.beta_fn(0.0, 0.0)) <= atol
-        assert abs(self.beta_fn(0.0, 1.0)) <= atol
 
 
 # -- constructors -----------------------------------------------------------
@@ -193,7 +177,8 @@ def exponential_spec(rho: float) -> RenewalSpec:
 def gamma_spec(k: float, rho: float) -> RenewalSpec:
     if k < 1 or rho <= 0:
         raise ValueError("requires shape k >= 1 and rate rho > 0")
-    dist = stats.gamma(a=k, scale=1.0 / rho)
+    scale = 1.0 / rho
+    median = gammaincinv(k, 0.5)
     lnorm = k * math.log(rho) - gammaln(k)
 
     def log_density(x):
@@ -221,14 +206,22 @@ def gamma_spec(k: float, rho: float) -> RenewalSpec:
     else:
         h_bar = INF
 
+    def logsf(x):
+        # scipy.stats.gamma(a=k, scale=1/rho).logsf, operation for operation:
+        # log sf above the median, log1p(-cdf) below it, 0 off the support
+        z = x / scale
+        with np.errstate(divide="ignore"):
+            tail = np.where(z > median, np.log(gammaincc(k, z)), np.log1p(-gammainc(k, z)))
+        return np.where(x <= 0, 0.0, tail)
+
     def cum_hazard(x):
         x = np.asarray(x, dtype=float)
-        return -dist.logsf(x)
+        return -logsf(x)
 
     def hazard(x):
         # h = g / survival = exp(log g - log sf)
         x = np.asarray(x, dtype=float)
-        return np.exp(log_density(x) - dist.logsf(x))
+        return np.exp(log_density(x) - logsf(x))
 
     return RenewalSpec(
         name=f"gamma(k={k},rho={rho})",
@@ -239,7 +232,7 @@ def gamma_spec(k: float, rho: float) -> RenewalSpec:
         gamma_closed=lambda s: math.exp(beta_closed(0.0, s)) if beta_closed(0.0, s) < 700 else INF,
         hazard=hazard,
         cum_hazard=cum_hazard,
-        ppf=lambda u: dist.ppf(np.asarray(u, dtype=float)),
+        ppf=lambda u: gammaincinv(k, np.asarray(u, dtype=float)) * scale,
     )
 
 
@@ -296,7 +289,8 @@ def table_spec(xs, gs, name: str = "table") -> RenewalSpec:
         raise ValueError("x column must be strictly increasing")
     if np.any(gs < 0):
         raise ValueError("density values must be nonnegative")
-    total = trapezoid(gs, xs)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (gs[1:] + gs[:-1]) / 2.0)])
+    total = cdf[-1]  # the trapezoid rule's integral of the table
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"tabulated density integrates to {total}, not 1")
 
@@ -309,8 +303,7 @@ def table_spec(xs, gs, name: str = "table") -> RenewalSpec:
     with np.errstate(divide="ignore"):
         h_bar = float(np.max(xs + np.log(np.maximum(gs, 1e-300))))
 
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(xs) * (gs[1:] + gs[:-1]) / 2.0)])
-    cdf = cdf / cdf[-1]
+    cdf = cdf / total
 
     def ppf(u):
         return np.interp(np.asarray(u, dtype=float), cdf, xs)
@@ -615,11 +608,6 @@ def g3_bound(spec: RenewalSpec, a: OrderLike, override: bool = False,
             raise AssertionError(
                 f"primal value {primal} exceeds its dual upper bound {g3}")
     return (max(g3, 0.0) + spec.c(al)) / (al * (al - 1.0))
-
-
-def legendre_transform(tilt: ExponentialTilt, x) -> float:
-    """Numeric conjugate beta*(x) of the tilt's beta."""
-    return fenchel_conjugate_2d(lambda lam: tilt.beta_fn(lam[0], lam[1]), x)
 
 
 @dataclass

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .divergence import (FiniteDistribution, OrderLike, as_order,
-                         poisson_renyi_rate, relative_entropy_rate,
-                         renyi_divergence)
+                         poisson_renyi_rate, relative_entropy_rate)
 from .optimize import INF, ScalarObjective, minimize_1d
 
 
@@ -194,28 +192,32 @@ def reference_bound(inst: SchedulingInstance, tol: float = 1e-8) -> RobustBoundR
 
 # -- oracles and probes -----------------------------------------------------
 
+def _simplex_grid(k: int, m: int):
+    """Every integer vector c of length k with sum(c) <= m, as float arrays.
+
+    The last two coordinates are enumerated as one array for each choice of
+    the leading ones, so an array holds at most (m + 1)^2 vectors."""
+    lead = max(k - 2, 0)
+    tail = np.array(list(itertools.product(range(m + 1), repeat=k - lead)), dtype=float)
+    tail_sum = tail.sum(axis=1)
+    comps = np.empty((len(tail), k))
+    comps[:, lead:] = tail
+    for head in itertools.product(range(m + 1), repeat=lead):
+        room = m - sum(head)
+        if room >= 0:
+            comps[:, :lead] = head
+            yield comps[tail_sum <= room]
+
+
 def w_bruteforce(inst: SchedulingInstance, gamma: float, step: float = 0.02) -> float:
     """Brute-force simplex-grid minimum of the W objective (test oracle).
 
     Tries every u = step * c for an integer composition c with sum(c) <= 1/step.
-    The last two coordinates are enumerated as one array for each choice of
-    the leading ones, so memory stays at (1/step + 1)^2 points.
     """
     lam_hat, mu_hat = tilted_rates(inst, gamma)
-    n = inst.num_classes
-    m = int(round(1.0 / step))
-    lead = max(n - 2, 0)
-    tail = np.array(list(itertools.product(range(m + 1), repeat=n - lead)), dtype=float)
-    tail_sum = tail.sum(axis=1)
-    comps = np.empty((len(tail), n))
-    comps[:, lead:] = tail
     best = INF
-    for head in itertools.product(range(m + 1), repeat=lead):
-        room = m - sum(head)
-        if room < 0:
-            continue
-        comps[:, :lead] = head
-        u = comps[tail_sum <= room] * step
+    for c in _simplex_grid(inst.num_classes, int(round(1.0 / step))):
+        u = c * step
         vals = np.sum(np.maximum(lam_hat - u * mu_hat, 0.0), axis=1)
         best = min(best, float(vals.min()))
     return best
@@ -230,6 +232,11 @@ def rs_duality_check(p: FiniteDistribution, g: Sequence[float], beta: float, gam
     simplex grid of Q. Returns sup-RHS minus LHS; the identity says the true
     supremum equals LHS, so the residual is <= 0 up to grid resolution and
     tends to 0 as the grid refines.
+
+    Q runs over q_i = c_i * grid_step for the integer compositions c of its
+    first n - 1 weights with sum(c) <= 1/grid_step, the last weight taking
+    the rest. R_alpha(Q || P) is computed as renyi_divergence does, for a
+    whole array of those Q at once.
     """
     if not (0 < beta < gamma):
         raise ValueError("requires 0 < beta < gamma")
@@ -241,25 +248,27 @@ def rs_duality_check(p: FiniteDistribution, g: Sequence[float], beta: float, gam
     al = gamma / (gamma - beta)
     n = pw.size
     m = int(round(1.0 / grid_step))
+    eg = np.exp(beta * gv)
+    with np.errstate(divide="ignore"):
+        lp = np.log(pw)
     best = -INF
-    for comp in itertools.product(range(m + 1), repeat=n - 1):
-        if sum(comp) > m:
+    for c in _simplex_grid(n - 1, m):
+        qw = np.empty((len(c), n))
+        qw[:, :-1] = c / m
+        qw[:, -1] = np.maximum(1.0 - qw[:, :-1].sum(axis=1), 0.0)
+        qw /= qw.sum(axis=1, keepdims=True)
+        qw = qw[~np.any((qw > 0) & (pw == 0), axis=1)]  # the rest have R = +inf
+        if len(qw) == 0:
             continue
-        qw = np.empty(n)
-        qw[:-1] = np.asarray(comp, dtype=float) / m
-        qw[-1] = 1.0 - qw[:-1].sum()
-        if qw[-1] < -1e-12:
-            continue
-        qw[-1] = max(qw[-1], 0.0)
-        qd = FiniteDistribution(tuple(qw / qw.sum()))
-        div = renyi_divergence(qd, p, al)
-        if div == INF:
-            continue
-        ex = float(np.sum(qd.as_array() * np.exp(beta * gv)))
-        if ex <= 0:
-            continue
-        rhs = math.log(ex) / beta - div / (gamma - beta)
-        best = max(best, rhs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(qw > 0, al * np.log(qw) + (1.0 - al) * lp, -INF)
+        top = terms.max(axis=1)
+        div = (top + np.log(np.sum(np.exp(terms - top[:, None]), axis=1))) / (al * (al - 1.0))
+        if np.any(div < -1e-10):
+            raise AssertionError(f"negative divergence {div.min()}: numerical fault")
+        with np.errstate(divide="ignore"):
+            rhs = np.log(np.sum(qw * eg, axis=1)) / beta - np.maximum(div, 0.0) / (gamma - beta)
+        best = max(best, float(rhs.max()))
     return best - lhs
 
 
@@ -300,5 +309,6 @@ def balanced_envelope(b: float) -> float:
     target = relative_entropy_rate(b)
     if target >= 1.0:
         raise ValueError("ell(b) >= 1: no balancing a exists in (0, 1)")
+    from scipy.optimize import brentq
     return brentq(lambda a: relative_entropy_rate(a) - target, 1e-12, 1.0 - 1e-12,
                   xtol=1e-14)

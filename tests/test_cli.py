@@ -1,10 +1,14 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import renyibounds
 from renyibounds.cli import _build_parser, main
 from renyibounds.divergence import poisson_renyi_rate
 from renyibounds.reneging import FIG3_COLUMNS
@@ -117,6 +121,12 @@ def test_rdr_renewal_report_and_refusal_exit(tmp_path):
     assert abs(rep["g2"] - 0.5) < 1e-9
     assert "g3" in rep["refused"]
     assert rep["spec"] == "exp(rho=2.0)"
+    # the report says how g2 was reached: its multiplier theta* and dual value
+    assert set(rep["diagnostics"]) == {"g2"}
+    d2 = rep["diagnostics"]["g2"]
+    assert math.isfinite(d2["theta_star"]) and d2["theta_star"] > 0
+    assert math.isfinite(d2["dual"])
+    assert abs(d2["dual"] / (2.0 * (2.0 - 1.0)) - rep["g2"]) < 1e-12
 
     cfg2 = _write(tmp_path, "mix.json", {
         "spec": {"kind": "mixture_exp", "weights": [0.5, 0.5], "rates": [1.0, 2.0]},
@@ -125,6 +135,7 @@ def test_rdr_renewal_report_and_refusal_exit(tmp_path):
     rep = json.loads(out.read_text())
     assert len(rep["reports"]) == 2
     assert rep["reports"][1]["g3"] <= rep["reports"][1]["g2"] + 1e-9
+    assert all(set(r["diagnostics"]) == {"g2", "g3"} for r in rep["reports"])
 
 
 def test_bound_scheduling_curves(tmp_path):
@@ -229,3 +240,28 @@ def test_simulate_mc_estimators(tmp_path):
     assert payload["estimable"] is False and payload["point"] is None
 
     assert main(["simulate", "--input", _write(tmp_path, "unk.json", {"model": "x"})]) == 1
+
+
+IMPORT_GUARD = """
+import json, sys
+import renyibounds.cli as cli
+lazy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+out = sys.argv[1]
+seen = {"import": [m for m in lazy if m in sys.modules]}
+seen["codes"] = [cli.main(["rdr-family", "--output", out + "/fam.csv"]),
+                 cli.main(["bound-reneging", "--grid-points", "2", "--output", out + "/ren.csv"])]
+seen["run"] = [m for m in lazy if m in sys.modules]
+with open(out + "/seen.json", "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_cli_loads_only_numpy_and_scipy_special(tmp_path):
+    # a fresh interpreter: importing the CLI, and running rdr-family and a
+    # small bound-reneging figure, loads no scipy module but scipy.special
+    src = os.path.dirname(os.path.dirname(renyibounds.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env, check=True)
+    seen = json.loads((tmp_path / "seen.json").read_text())
+    assert seen == {"import": [], "codes": [0, 0], "run": []}

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from renyibounds.optimize import (INF, ScalarObjective, fenchel_conjugate_2d,
-                                  maximize_1d, minimize_1d)
+from renyibounds.optimize import INF, ScalarObjective, maximize_1d, minimize_1d
 
 
 def test_minimize_unconstrained_quadratic():
@@ -48,30 +47,3 @@ def test_maximize_concave():
     assert abs(res.arg - 1.5) < 1e-6
     assert abs(res.value - 4.0) < 1e-10
 
-
-def test_conjugate_of_quadratic():
-    # f(lam) = |lam|^2 / 2 has conjugate |x|^2 / 2
-    f = lambda lam: 0.5 * float(lam[0] ** 2 + lam[1] ** 2)
-    for x in [(0.0, 0.0), (1.0, -2.0), (3.0, 0.5)]:
-        want = 0.5 * (x[0] ** 2 + x[1] ** 2)
-        got = fenchel_conjugate_2d(f, x)
-        assert abs(got - want) < 1e-6
-
-
-def test_conjugate_with_domain_boundary():
-    # f(lam) = -log(1 - lam1) + lam2^2/2 on lam1 < 1;
-    # conjugate in x1 (for x1 > 0) is x1 - 1 - log x1, plus x2^2/2
-    def f(lam):
-        if lam[0] >= 1.0:
-            return INF
-        return -math.log(1.0 - lam[0]) + 0.5 * lam[1] ** 2
-
-    for x1 in (0.5, 1.0, 2.0):
-        want = x1 - 1.0 - math.log(x1)
-        got = fenchel_conjugate_2d(f, (x1, 0.0))
-        assert abs(got - want) < 1e-5
-
-
-def test_conjugate_unbounded_direction_is_inf():
-    f = lambda lam: float(lam[0])  # linear: conjugate finite only at x = (1, 0)
-    assert fenchel_conjugate_2d(f, (2.0, 0.0)) == INF

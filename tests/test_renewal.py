@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,8 @@ from renyibounds.renewal import (HypothesisViolationError, bound_report,
                                  exponential_exact_rdr, exponential_spec,
                                  g1_bound, g2_bound, g3_bound,
                                  gamma_closed_form, gamma_spec,
-                                 legendre_transform, mixture_exp_spec,
-                                 phase_type_envelope_bound, rough_bound,
-                                 table_spec)
+                                 mixture_exp_spec, phase_type_envelope_bound,
+                                 rough_bound, table_spec)
 
 
 def _gapped_table():
@@ -25,7 +22,9 @@ def test_spec_quadrature_sanity():
     for spec in (exponential_spec(2.0), gamma_spec(2.0, 2.0),
                  mixture_exp_spec([0.5, 0.5], [1.0, 2.0])):
         spec.validate(atol=1e-6)
-        spec.tilt().validate(atol=1e-6)
+        assert abs(spec.gamma_val(0.0) - 1.0) <= 1e-6
+        assert abs(spec.beta(0.0, 0.0)) <= 1e-6
+        assert abs(spec.beta(0.0, 1.0)) <= 1e-6
     # the density jumps at the gap edges, so simpson on the internal grid is
     # only good to a few parts in a thousand there
     _gapped_table().validate(atol=1e-2)
@@ -117,21 +116,31 @@ def test_phase_type_envelope_tight_at_exponential():
         gamma_closed_form(0.5, 2.0, 2.0)
 
 
-def test_conjugate_identity_for_exponential():
-    # with the second coordinate on the gradient manifold, the conjugate of
-    # the tilt of an Exp(rho) density collapses to x1 - 1 - log x1
-    rho = 2.0
-    tilt = exponential_spec(rho).tilt()
-    for x1 in (0.5, 1.0, 2.0):
-        x2 = math.log(rho) - (rho - 1.0) * x1
-        got = legendre_transform(tilt, (x1, x2))
-        want = x1 - 1.0 - math.log(x1)
-        assert abs(got - want) < 1e-5
-
-
 def test_numeric_moment_integrals_agree_with_closed_form():
     spec = exponential_spec(2.0)
     spec.beta_closed = None
     spec.gamma_closed = None
     got = g2_bound(spec, 2.0)
     assert abs(got - exponential_exact_rdr(2.0, 2.0)) < 1e-3
+
+
+def test_gamma_spec_matches_scipy_stats_gamma():
+    # gamma_spec is built on scipy.special alone; scipy.stats is the oracle,
+    # equal to the last bit (the installed scipy's logsf takes log(sf) above
+    # the median and log1p(-cdf) below it, as gamma_spec does)
+    from scipy import stats
+
+    rng = np.random.default_rng(7)
+    shapes = np.concatenate([[1.0], rng.uniform(1.0, 12.0, 49)])
+    rates = rng.uniform(0.2, 6.0, 50)
+    u = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6], rng.random(200),
+                        [1.0 - 1e-6, 1.0 - 1e-12, 1.0]])
+    for k, rho in zip(shapes, rates):
+        spec, dist = gamma_spec(k, rho), stats.gamma(a=k, scale=1.0 / rho)
+        x = np.concatenate([[-5.0, -1e-300, 0.0, 1e-300, 1e-12],
+                            np.linspace(0.01, 10.0 * k / rho, 200),
+                            [50.0 * k / rho, 1e3, 1e4]])
+        logsf = dist.logsf(x)
+        assert np.array_equal(spec.cum_hazard(x), -logsf)
+        assert np.array_equal(spec.hazard(x), np.exp(spec.log_density(x) - logsf))
+        assert np.array_equal(spec.ppf(u), dist.ppf(u))

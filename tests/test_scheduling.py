@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from renyibounds.divergence import FiniteDistribution, relative_entropy_rate
+from renyibounds.divergence import (FiniteDistribution, relative_entropy_rate,
+                                    renyi_divergence)
 from renyibounds.scheduling import (SchedulingInstance, balanced_envelope,
                                     convexity_probe_m, f0_of_alpha,
                                     priority_order, rs_duality_check,
@@ -121,6 +123,41 @@ def test_duality_residual_small_and_one_sided():
     assert fine > -2e-3
     with pytest.raises(ValueError):
         rs_duality_check(p, g, beta=3.0, gamma=1.0)
+
+
+def _duality_sup_loop(p, g, beta, gamma, step):
+    """sup over the simplex grid of the duality RHS, one renyi_divergence
+    call per grid point: the reference for rs_duality_check's array form."""
+    n, m = len(p.weights), int(round(1.0 / step))
+    gv = np.asarray(g, dtype=float)
+    best = -math.inf
+    for comp in itertools.product(range(m + 1), repeat=n - 1):
+        if sum(comp) > m:
+            continue
+        qw = np.empty(n)
+        qw[:-1] = np.asarray(comp, dtype=float) / m
+        qw[-1] = max(1.0 - qw[:-1].sum(), 0.0)
+        q = FiniteDistribution(tuple(qw / qw.sum()))
+        div = renyi_divergence(q, p, gamma / (gamma - beta))
+        if div < math.inf:
+            ex = float(np.sum(q.as_array() * np.exp(beta * gv)))
+            best = max(best, math.log(ex) / beta - div / (gamma - beta))
+    return best - math.log(float(np.sum(p.as_array() * np.exp(gamma * gv)))) / gamma
+
+
+@pytest.mark.parametrize("n,step", [(1, 0.1), (2, 0.01), (3, 0.05), (4, 0.1), (5, 0.25)])
+def test_duality_check_matches_per_point_loop(n, step):
+    rng = np.random.default_rng(n)
+    for t in range(6):
+        w = rng.random(n)
+        if n > 1 and t % 3 == 0:
+            w[rng.integers(n)] = 0.0  # Q charging that point has R = +inf
+        p = FiniteDistribution(tuple(w / w.sum()))
+        g = rng.normal(size=n) * 2.0
+        beta = rng.uniform(0.1, 2.0)
+        gamma = beta + rng.uniform(0.05, 3.0)
+        want = _duality_sup_loop(p, g, beta, gamma, step)
+        assert abs(rs_duality_check(p, g, beta, gamma, step) - want) <= 1e-12
 
 
 def test_moment_scaling_map_is_convex():
