@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -325,6 +324,7 @@ def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool, threads: int
                                          seed=seed, rep=rep, assert_mode=assert_mode,
                                          initial_customers=initial)
     if threads > 1 and reps > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             runs = list(pool.map(one, range(reps)))
     else:
@@ -378,6 +378,8 @@ def _mc_payload(est: sim_mod.McEstimate, model: str) -> dict:
         "replications": est.replications,
         "seed": est.seed,
         "estimable": est.estimable,
+        "ess": est.ess,
+        "max_weight_share": est.max_weight_share,
     }
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .optimize import INF, ScalarObjective, minimize_1d
 
@@ -91,6 +90,7 @@ def renyi_divergence(q: FiniteDistribution, p: FiniteDistribution, a: OrderLike)
     if order.is_limit:
         val = float(np.sum(np.exp(lq) * (lq - lp)))
     else:
+        from scipy.special import logsumexp
         al = order.alpha
         lse = float(logsumexp(al * lq + (1.0 - al) * lp))
         val = lse / (al * (al - 1.0))

@@ -31,7 +31,7 @@ class ScalarObjective:
 class OptResult:
     arg: float
     value: float
-    iterations: int
+    evaluations: int
     bracket: Tuple[float, float]
     converged: bool
     boundary: bool = False

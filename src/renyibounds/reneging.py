@@ -104,21 +104,33 @@ class CompositeFamily:
 
 
 def gamma_box_r2(box: GammaBox, a: OrderLike, bare_bracket: bool = False) -> float:
-    """Supremum of the Gamma closed-form rate over the (k, rho) rectangle.
+    """Supremum of the Gamma closed-form rate over the (k, rho) rectangle,
+    which lies at one of its four corners: one array call on the 2 x 2 corners.
 
-    The closed form is (C(k) rho^p - alpha(rho - 1) - 1)/(alpha(alpha - 1))
-    with C(k) > 0 and p = alpha k/(1 + alpha(k - 1)) >= 1 for alpha > 1, so
-    at each k it is convex in rho and its maximum over [rho_lo, rho_hi] lies
-    at rho_lo or rho_hi. The maximum over the 60 x 60 grid of the rectangle
-    is therefore the maximum over its two rho edges at the same 60 k points,
-    one array call of 2 x 60 evaluations. The k direction is a plain scan of
-    those 60 points: the closed form is not convex in k near k = 1, so a
-    maximum between two k points is not proven away. With bare_bracket the
-    bare bracket (the closed form times alpha(alpha-1)) is returned instead
-    of the divergence-rate normalization.
+    The closed form is (A - alpha(rho - 1) - 1)/(alpha(alpha - 1)) with
+    log A = phi(k) = N(k)/s, where s = 1 + alpha(k - 1) and
+    N = lnGamma(s) - alpha lnGamma(k) + alpha k log rho.
+
+    Rho: A = C(k) rho^p with C(k) > 0 and p = alpha k/s >= 1 for alpha > 1,
+    so at each k the closed form is convex in rho and its maximum over
+    [rho_lo, rho_hi] lies at rho_lo or rho_hi.
+
+    K: at fixed rho the closed form increases with phi, and s^2 phi' = D with
+    D = s N' - alpha N and D' = s N'' = alpha s (alpha psi'(s) - psi'(k)).
+    Writing k = 1 + t, s = 1 + alpha t, the lemma
+    alpha psi'(1 + alpha t) > psi'(1 + t) for alpha > 1, t >= 0 gives D' > 0,
+    so phi' changes sign at most once, from - to +: phi is quasi-convex in k
+    and its maximum over [k_lo, k_hi] lies at k_lo or k_hi. Proof of the
+    lemma: psi'(x) = int_0^inf u e^{-xu}/(1 - e^{-u}) du; substituting
+    v = alpha u on the left, both sides are integrals of v e^{-tv} times
+    c/(e^{cv} - 1) (left, c = 1/alpha < 1) and 1/(e^v - 1) (right), and
+    y/(e^y - 1) is decreasing, so c v/(e^{cv} - 1) > v/(e^v - 1) for v > 0.
+
+    With bare_bracket the bare bracket (the closed form times alpha(alpha-1))
+    is returned instead of the divergence-rate normalization.
     """
     al = as_order(a).alpha
-    k = np.linspace(box.k_lo, box.k_hi, 60)
+    k = np.array([box.k_lo, box.k_hi])
     rho = np.array([[box.rho_lo], [box.rho_hi]])
     best = float(np.max(gamma_closed_form(k, rho, al)))
     return best * al * (al - 1.0) if bare_bracket else best

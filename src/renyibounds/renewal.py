@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv, gammaln
 
 from .divergence import OrderLike, as_order
 from .families import MarkSpec
@@ -177,6 +176,7 @@ def exponential_spec(rho: float) -> RenewalSpec:
 def gamma_spec(k: float, rho: float) -> RenewalSpec:
     if k < 1 or rho <= 0:
         raise ValueError("requires shape k >= 1 and rate rho > 0")
+    from scipy.special import gammainc, gammaincc, gammaincinv, gammaln
     scale = 1.0 / rho
     median = gammaincinv(k, 0.5)
     lnorm = k * math.log(rho) - gammaln(k)
@@ -347,6 +347,7 @@ def gamma_closed_form(k, rho, a: OrderLike):
 
     k and rho may be arrays, which broadcast against each other; a value
     that overflows is inf. Scalar k and rho give a float."""
+    from scipy.special import gammaln
     k = np.asarray(k, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if np.any(k < 1) or np.any(rho <= 1):

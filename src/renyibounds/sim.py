@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergence import OrderLike, as_order
 from .optimize import INF
@@ -469,24 +468,38 @@ def simulate_multiclass_priority(inst: SchedulingInstance, priority: Sequence[in
 
 @dataclass
 class McEstimate:
+    """A Monte-Carlo estimate. ``ess`` and ``max_weight_share`` describe the
+    replication weights of a likelihood-ratio average and are None for
+    estimators that have none."""
+
     point: Optional[float]
     std_err: float
     replications: int
     seed: int
     estimable: bool = True
+    ess: Optional[float] = None
+    max_weight_share: Optional[float] = None
 
 
 def _aggregate_log_mean(log_y: np.ndarray, scale: float, seed: int) -> McEstimate:
-    """(1/scale) log mean(exp(log_y)) with a delta-method standard error."""
+    """(1/scale) log mean(exp(log_y)) with a delta-method standard error.
+
+    The weights w = exp(log_y) also give the effective sample size
+    (sum w)^2 / sum w^2 (Kong 1992) and the largest weight's share of sum w;
+    a few dominant weights make the delta-method error unreliable."""
+    from scipy.special import logsumexp
     reps = len(log_y)
     finite = np.isfinite(log_y)
     if not np.any(finite):
         return McEstimate(None, INF, reps, seed, estimable=False)
-    log_mean = float(logsumexp(log_y[finite])) - math.log(reps)
+    log_sum = float(logsumexp(log_y[finite]))
+    log_mean = log_sum - math.log(reps)
     log_m2 = float(logsumexp(2.0 * log_y[finite])) - math.log(reps)
     rel_var = max(math.exp(min(log_m2 - 2.0 * log_mean, 700.0)) - 1.0, 0.0)
     se_log = math.sqrt(rel_var / reps)
-    return McEstimate(log_mean / scale, se_log / abs(scale), reps, seed)
+    return McEstimate(log_mean / scale, se_log / abs(scale), reps, seed,
+                      ess=reps * math.exp(2.0 * log_mean - log_m2),
+                      max_weight_share=math.exp(float(np.max(log_y[finite])) - log_sum))
 
 
 def _renewal_tilted_tables(spec: RenewalSpec, ref_rate: float, al: float,

@@ -231,6 +231,15 @@ def test_simulate_mc_estimators(tmp_path):
     assert main(["simulate", "--input", cfg, "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert abs(payload["point"] - 0.5) < 1e-9
+    # the tilted Poisson estimate is exact and has no weights; a reference-sampled one has
+    assert payload["ess"] is None and payload["max_weight_share"] is None
+    cfg = _write(tmp_path, "ref.json", {"model": "mc_renyi_rate",
+                                        "q": {"kind": "poisson", "rate": 1.2},
+                                        "ref_rate": 1.0, "alpha": 1.5, "t": 5.0,
+                                        "replications": 50, "sampling": "reference"})
+    assert main(["simulate", "--input", cfg, "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert 1.0 <= payload["ess"] <= 50.0 and 0.0 < payload["max_weight_share"] <= 1.0
 
     hopeless = _write(tmp_path, "tail.json", {"model": "mc_tail", "n": 2, "t": 5.0,
                                               "gamma": 50.0, "lam": 2.0,
@@ -245,23 +254,42 @@ def test_simulate_mc_estimators(tmp_path):
 IMPORT_GUARD = """
 import json, sys
 import renyibounds.cli as cli
-lazy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
-out = sys.argv[1]
-seen = {"import": [m for m in lazy if m in sys.modules]}
-seen["codes"] = [cli.main(["rdr-family", "--output", out + "/fam.csv"]),
-                 cli.main(["bound-reneging", "--grid-points", "2", "--output", out + "/ren.csv"])]
-seen["run"] = [m for m in lazy if m in sys.modules]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+seen = {"import": scipy_modules()}
+seen["codes"] = [cli.main(argv) for argv in runs]
+seen["run"] = scipy_modules()
+seen["codes"].append(cli.main(["bound-reneging", "--grid-points", "2",
+                               "--output", out + "/ren.csv"]))
+seen["reneging"] = [m for m in ("scipy.special", "scipy.stats", "scipy.optimize",
+                                "scipy.integrate") if m in sys.modules]
 with open(out + "/seen.json", "w") as fh:
     json.dump(seen, fh)
 """
 
 
-def test_cli_loads_only_numpy_and_scipy_special(tmp_path):
-    # a fresh interpreter: importing the CLI, and running rdr-family and a
-    # small bound-reneging figure, loads no scipy module but scipy.special
+def test_cli_import_loads_no_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI loads no scipy module, and
+    # neither do rdr-family, a small bound-scheduling sweep, a small reneging
+    # simulation or an exponential rdr-renewal report; a small bound-reneging
+    # figure loads scipy.special for the Gamma-box penalty and nothing more;
+    # the exponential report refuses g3, so it exits 2
+    out = str(tmp_path)
+    runs = [
+        ["rdr-family", "--output", out + "/fam.csv"],
+        ["bound-scheduling", "--grid-points", "3", "--input",
+         _write(tmp_path, "sched.json", SCHED), "--output", out + "/sched.csv"],
+        ["simulate", "--input", _write(tmp_path, "sim.json", RENEGING_SCENARIO),
+         "--output", out + "/sim.json"],
+        ["rdr-renewal", "--input", _write(tmp_path, "rnw.json", {"spec": EXPONENTIAL_SPEC}),
+         "--output", out + "/rnw.json"],
+    ]
     src = os.path.dirname(os.path.dirname(renyibounds.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env, check=True)
+    subprocess.run([sys.executable, "-c", IMPORT_GUARD, out, json.dumps(runs)],
+                   env=env, check=True)
     seen = json.loads((tmp_path / "seen.json").read_text())
-    assert seen == {"import": [], "codes": [0, 0], "run": []}
+    assert seen == {"import": [], "codes": [0, 0, 0, 2, 0], "run": [],
+                    "reneging": ["scipy.special"]}

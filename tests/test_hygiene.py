@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no function outside a class takes a parameter it never reads."""
+no function outside a class takes a parameter it never reads, and no module
+imports scipy when it is itself imported."""
 
 import ast
 import pathlib
@@ -22,6 +23,27 @@ def unused_imports(source: str):
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def import_time_scipy_imports(source: str):
+    """(line, module) of every scipy import outside a function body: each
+    runs when the module is imported, not when its one user is first called."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, a.name) for a in child.names
+                             if a.name.split(".")[0] == "scipy")
+            elif (isinstance(child, ast.ImportFrom)
+                  and (child.module or "").split(".")[0] == "scipy"):
+                found.append((child.lineno, child.module))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
 
 
 def unused_parameters(source: str):
@@ -50,6 +72,24 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_an_import_time_scipy_import():
+    src = ("import scipy.special as sp\n"
+           "if True:\n"
+           "    from scipy import stats\n"
+           "class K:\n"
+           "    from scipy.optimize import brentq\n"
+           "def f():\n"
+           "    from scipy.integrate import simpson\n"
+           "    return simpson, sp, stats\n")
+    assert import_time_scipy_imports(src) == [(1, "scipy.special"), (3, "scipy"),
+                                              (5, "scipy.optimize")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_scipy_at_import_time(path):
+    assert import_time_scipy_imports(path.read_text()) == []
 
 
 def test_detector_flags_an_unused_parameter():

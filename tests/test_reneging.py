@@ -161,6 +161,23 @@ def test_gamma_box_edges_match_full_grid(box):
         assert np.all(mid <= 0.5 * (f1 + f2) + 1e-12 * scale)
 
 
+def test_gamma_box_corner_lemma_and_k_scan():
+    from scipy.special import polygamma
+
+    # the lemma behind quasi-convexity in k: alpha psi'(1 + alpha t) > psi'(1 + t)
+    al = (1.0 + np.geomspace(1e-4, 100.0, 400))[:, None]
+    t = np.concatenate(([0.0], np.geomspace(1e-8, 100.0, 400)))[None, :]
+    assert np.all(al * polygamma(1, 1.0 + al * t) > polygamma(1, 1.0 + t))
+
+    # so a dense k scan on each rho edge peaks at an end of the k range
+    for box in _all_boxes():
+        k = np.linspace(box.k_lo, box.k_hi, 20001)
+        rho = np.array([[box.rho_lo], [box.rho_hi]])
+        for al in EDGE_ORDERS:
+            v = gamma_closed_form(k, rho, al)
+            assert np.all(v.max(axis=1) == np.maximum(v[:, 0], v[:, -1]))
+
+
 def test_anchored_service_family_limits_alpha():
     fam = CompositeFamily(service_family=Q4(alpha0=2.0, u=0.1))
     bound, a_star = robust_reneging_bound(INST.at(2.0), fam)

@@ -10,11 +10,11 @@ from renyibounds.scheduling import SchedulingInstance
 from renyibounds.sim import (CoxPiecewise, DeterministicCycle,
                              DeterministicSchedule, ExponentialPatience,
                              FixedPatience, PoissonProcess, RenewalProcess,
-                             event_log_csv, make_stream, mc_renyi_rate,
-                             mc_tail_probability, sample_arrivals,
-                             sample_cox_path, sample_poisson_times,
-                             sample_renewal_path, simulate_multiclass_priority,
-                             simulate_reneging)
+                             _aggregate_log_mean, event_log_csv, make_stream,
+                             mc_renyi_rate, mc_tail_probability,
+                             sample_arrivals, sample_cox_path,
+                             sample_poisson_times, sample_renewal_path,
+                             simulate_multiclass_priority, simulate_reneging)
 
 
 def test_streams_are_reproducible_and_distinct():
@@ -214,6 +214,25 @@ def test_mc_rate_reference_sampling_mild_case():
     want = poisson_renyi_rate(1.2, 1.5)
     assert est.estimable
     assert abs(est.point - want) < 3.0 * est.std_err + 1e-3
+
+
+def test_mc_weight_diagnostics_match_numpy():
+    def direct(log_y):
+        w = np.exp(log_y)  # -inf log-weights are zero weights
+        return w.sum() ** 2 / np.sum(w * w), w.max() / w.sum()
+
+    # equal weights: every replication counts, ESS = reps
+    est = _aggregate_log_mean(np.full(40, -3.0), 2.0, 0)
+    assert est.ess == pytest.approx(40.0, rel=1e-12)
+    assert est.max_weight_share == pytest.approx(1.0 / 40.0, rel=1e-12)
+    # one dominant weight: ESS near 1, and that weight holds nearly all the mass
+    log_y = np.random.default_rng(3).normal(size=200)
+    log_y[17], log_y[50] = 30.0, -np.inf
+    est = _aggregate_log_mean(log_y, 2.0, 0)
+    ess, share = direct(log_y)
+    assert est.ess == pytest.approx(ess, rel=1e-12)
+    assert est.max_weight_share == pytest.approx(share, rel=1e-12)
+    assert 1.0 <= est.ess < 1.0 + 1e-9 and share > 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("cycle", [True, False])
