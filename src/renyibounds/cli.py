@@ -314,6 +314,13 @@ def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool, threads: int
         initial = int(cfg.get("initial_customers", 0))
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad reneging scenario: {e}")
+    if n < 1 or not horizon > 0:
+        raise ConfigError("bad reneging scenario: need n >= 1 and t > 0")
+    if reps < 1:
+        raise ConfigError("bad reneging scenario: need at least one replication")
+    log_path = cfg.get("event_log_path")
+    if log_path and reps > 1:
+        raise ConfigError("bad reneging scenario: event_log_path needs a single replication")
     if isinstance(service, list):
         services = [_service_from_dict(s) for s in service]
     else:
@@ -339,8 +346,7 @@ def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool, threads: int
         "replications": reps,
         "seed": seed,
     }
-    log_path = cfg.get("event_log_path")
-    if log_path and reps == 1:
+    if log_path:
         _write_output(sim_mod.event_log_csv(runs[0].log), log_path)
     return result
 

@@ -243,7 +243,7 @@ def rrb_optimize(inputs: RrbInputs, tol: float = BOUND_ATOL) -> RrbResult:
         return RrbResult(al, rrb_upper(inputs, al), True, False)
     obj = ScalarObjective(
         lambda al: rrb_upper(inputs, al) * (1.0 if inputs.direction == "upper" else -1.0),
-        lo=1.0, hi=curve.alpha_max, convexity="unknown")
+        lo=1.0, hi=curve.alpha_max)
     res = minimize_1d(obj, tol=min(tol, 1e-8))
     value = res.value if inputs.direction == "upper" else -res.value
     return RrbResult(res.arg, value, res.converged, res.boundary)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class ScalarObjective:
     fn: Callable[[float], float]
     lo: float = -INF
     hi: float = INF
-    convexity: str = "unknown"  # "convex", "concave" or "unknown"
 
 
 @dataclass
@@ -32,7 +31,6 @@ class OptResult:
     arg: float
     value: float
     evaluations: int
-    bracket: Tuple[float, float]
     converged: bool
     boundary: bool = False
 
@@ -134,8 +132,7 @@ def minimize_1d(
             expansions += 1
         else:
             x = to_x(s_best)
-            return OptResult(x, v_best, evals, (to_x(s_best - step), to_x(s_best + step)),
-                             converged=False, boundary=True)
+            return OptResult(x, v_best, evals, converged=False, boundary=True)
         if expansions >= 100:
             boundary = True
         if (obj.lo > -INF or obj.hi < INF) and abs(s_best) >= 550.0:
@@ -151,14 +148,12 @@ def minimize_1d(
     delta = max(10.0 * tol, 1e-7)
     ok = f(s_star) <= min(f(s_star - delta), f(s_star + delta)) + 1e-12 + abs(v_star) * 1e-9
     x_star = to_x(s_star)
-    return OptResult(x_star, v_star, evals, (to_x(a), to_x(b)),
-                     converged=ok and not boundary, boundary=boundary)
+    return OptResult(x_star, v_star, evals, converged=ok and not boundary, boundary=boundary)
 
 
 def maximize_1d(obj: ScalarObjective, tol: float = 1e-8, **kw) -> OptResult:
     """Maximize by minimizing the negation."""
-    neg = ScalarObjective(lambda x: -obj.fn(x), obj.lo, obj.hi,
-                          {"concave": "convex", "convex": "concave"}.get(obj.convexity, "unknown"))
+    neg = ScalarObjective(lambda x: -obj.fn(x), obj.lo, obj.hi)
     res = minimize_1d(neg, tol=tol, **kw)
     res.value = -res.value
     return res

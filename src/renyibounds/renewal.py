@@ -13,11 +13,12 @@ Four bounds are provided, from coarsest to sharpest:
   g3:    sup over theta of the pinned conjugate value G3(theta) (needs
          gamma(s) finite for all s <= 0)
 
-The inner values of g2/g3 are evaluated through their single-variable dual
-form (an infimum over lambda1, exact under the bounds' standing convexity
-hypotheses and always a valid upper bound by weak duality); the nested
-sup/conjugate primal form is computed independently at the optimal theta as
-a cross-check.
+g2 and g3 share one computation and differ only in the range of lambda1:
+the inner value is evaluated through its single-variable dual form (an
+infimum over lambda1, exact under the bounds' standing convexity hypotheses
+and always a valid upper bound by weak duality). The nested sup/conjugate
+primal form is not part of the library: tests/test_renewal.py keeps it as
+the test oracle, evaluated at the optimal theta.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class RenewalSpec:
     """Inter-event density of a renewal process plus derived integrals.
 
     log_density must be vectorized and return -inf where the density
-    vanishes. Closed-form beta/gamma, hazard machinery and the inverse CDF
-    are optional; numeric fallbacks on an internal grid are used otherwise.
+    vanishes. Closed-form beta, hazard machinery and the inverse CDF are
+    optional; beta falls back to quadrature on an internal grid, and gamma
+    is always e^{beta(0, s)}.
     """
 
     name: str
@@ -51,7 +53,6 @@ class RenewalSpec:
     h_bar: float
     support_full: bool
     beta_closed: Optional[Callable[[float, float], float]] = None
-    gamma_closed: Optional[Callable[[float], float]] = None
     hazard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cum_hazard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ppf: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -116,14 +117,10 @@ class RenewalSpec:
         return m + math.log(integral)
 
     def gamma_val(self, s: float) -> float:
-        """gamma(s) = integral of exp(s H(y)) against the unit exponential."""
-        if self.gamma_closed is not None:
-            return self.gamma_closed(s)
+        """gamma(s) = integral of exp(s H(y)) against the unit exponential,
+        e^{beta(0, s)}; inf where beta(0, s) is inf or e^{beta} overflows."""
         b = self.beta(0.0, s)
-        if b == INF:
-            return INF
-        with np.errstate(over="ignore"):
-            return math.exp(b) if b < 700 else INF
+        return math.exp(b) if b < 700 else INF
 
     def validate(self, atol: float = 1e-8):
         """Quadrature sanity: density integrates to 1, gamma(0) = 1."""
@@ -152,21 +149,12 @@ def exponential_spec(rho: float) -> RenewalSpec:
             return INF
         return l2 * lr - math.log(d)
 
-    def gamma_closed(s):
-        d = 1.0 + s * (rho - 1.0)
-        if d <= 0:
-            return INF
-        with np.errstate(over="ignore"):
-            v = s * lr - math.log(d)
-            return math.exp(v) if v < 700 else INF
-
     return RenewalSpec(
         name=f"exp(rho={rho})",
         log_density=log_density,
         h_bar=lr if rho >= 1.0 else INF,
         support_full=True,
         beta_closed=beta_closed,
-        gamma_closed=gamma_closed,
         hazard=lambda x: np.full_like(np.asarray(x, dtype=float), rho),
         cum_hazard=lambda x: rho * np.asarray(x, dtype=float),
         ppf=lambda u: -np.log1p(-np.asarray(u, dtype=float)) / rho,
@@ -229,7 +217,6 @@ def gamma_spec(k: float, rho: float) -> RenewalSpec:
         h_bar=h_bar,
         support_full=True,
         beta_closed=beta_closed,
-        gamma_closed=lambda s: math.exp(beta_closed(0.0, s)) if beta_closed(0.0, s) < 700 else INF,
         hazard=hazard,
         cum_hazard=cum_hazard,
         ppf=lambda u: gammaincinv(k, np.asarray(u, dtype=float)) * scale,
@@ -254,9 +241,11 @@ def mixture_exp_spec(weights, rates) -> RenewalSpec:
 
     r_min = float(r.min())
     if r_min >= 1.0:
-        # H(x) = x + log g -> max over a probe grid (H is concave-ish, smooth)
-        xs = np.linspace(0.0, 60.0, 6001)
-        h_bar = float(np.max(xs + log_density(xs)))
+        # log g is a log-sum-exp of affine functions of x, so H = x + log g
+        # is convex; with every rate >= 1 it is bounded above as x -> inf. A
+        # convex function bounded above on [0, inf) is nonincreasing, so
+        # sup H = H(0) = log g(0).
+        h_bar = float(log_density(np.array([0.0]))[0])
     else:
         h_bar = INF
 
@@ -432,7 +421,7 @@ def _dual_inner(spec: RenewalSpec, al: float, theta: float, restrict_nonpos: boo
 
 def _sup_over_theta(inner: Callable[[float], float], warm: Optional[float]) -> Tuple[float, float]:
     """Maximize theta -> inner(theta) (concave in theta) over log theta."""
-    obj = ScalarObjective(lambda t: inner(math.exp(t)), convexity="concave")
+    obj = ScalarObjective(lambda t: inner(math.exp(t)))
     res = maximize_1d(obj, tol=1e-10, coarse=81, s_lo=-10.0, s_hi=10.0)
     best_t, best_v = res.arg, res.value  # identity transform: arg is log theta
     if warm is not None and np.isfinite(warm) and inner(math.exp(warm)) > best_v:
@@ -442,147 +431,32 @@ def _sup_over_theta(inner: Callable[[float], float], warm: Optional[float]) -> T
     return math.exp(best_t), best_v
 
 
-def _beta_grad(spec: RenewalSpec, l1: float, l2: float,
-               h: float = 1e-5) -> Optional[Tuple[float, float]]:
-    vals = [spec.beta(l1 + h, l2), spec.beta(l1 - h, l2),
-            spec.beta(l1, l2 + h), spec.beta(l1, l2 - h)]
-    if not all(np.isfinite(v) for v in vals):
-        return None
-    return (vals[0] - vals[1]) / (2 * h), (vals[2] - vals[3]) / (2 * h)
-
-
-def _solve_l1(spec: RenewalSpec, l2: float, target: float) -> Optional[float]:
-    """lambda1 with d beta / d lambda1 = target (the slope is increasing in
-    lambda1 by convexity). None when the slope never reaches the target on
-    beta's domain slice."""
-    from scipy.optimize import brentq
-
-    def slope(l1: float) -> Optional[float]:
-        g = _beta_grad(spec, l1, l2)
-        return None if g is None else g[0]
-
-    anchor, v = None, None
-    for l1 in (0.0, -0.5, -1.0, -2.0, -4.0, -8.0, -16.0):
-        v = slope(l1)
-        if v is not None:
-            anchor = l1
-            break
-    if anchor is None:
-        return None
-    if abs(v - target) < 1e-13:
-        return anchor
-    if v < target:
-        lo, step = anchor, 0.25
-        hi = None
-        for _ in range(80):
-            cand = lo + step
-            vc = slope(cand)
-            if vc is None:
-                step *= 0.5  # stepped over the domain edge; shorten
-                if step < 1e-12:
-                    break
-                continue
-            if vc >= target:
-                hi = cand
-                break
-            lo, step = cand, step * 2.0
-        if hi is None:
-            return None
-    else:
-        hi, step = anchor, 0.25
-        lo = None
-        for _ in range(80):
-            cand = hi - step
-            vc = slope(cand)
-            if vc is None:
-                return None
-            if vc <= target:
-                lo = cand
-                break
-            hi, step = cand, step * 2.0
-        if lo is None:
-            return None
-    return brentq(lambda l1: slope(l1) - target, lo, hi, xtol=1e-11)
-
-
-def _curve_value(spec: RenewalSpec, al: float, l2: float, x1: float) -> float:
-    """alpha x2 - beta*(x1, x2) evaluated parametrically at the gradient
-    point with d beta / d lambda1 pinned to x1 (Fenchel-Young equality)."""
-    l1 = _solve_l1(spec, l2, x1)
-    if l1 is None:
-        return -INF
-    g = _beta_grad(spec, l1, l2)
-    if g is None:
-        return -INF
-    x2 = g[1]
-    bstar = l1 * x1 + l2 * x2 - spec.beta(l1, l2)
-    return al * x2 - bstar
-
-
-def _primal_g3(spec: RenewalSpec, al: float, theta: float) -> float:
-    """Nested primal form: theta * sup over x2 of alpha x2 - beta*(1/theta, x2),
-    with the conjugate evaluated parametrically along the gradient curve."""
-    x1 = 1.0 / theta
-    res = maximize_1d(ScalarObjective(lambda l2: _curve_value(spec, al, l2, x1)),
-                      tol=1e-9, coarse=81, s_lo=-12.0, s_hi=12.0)
-    return theta * res.value
-
-
-def _primal_g2(spec: RenewalSpec, al: float, theta: float) -> float:
-    """Nested primal form: theta * sup over {x : x1 <= 1/theta} of
-    alpha x2 - beta*(x). The supremum splits into the active-constraint
-    boundary x1 = 1/theta (parametric curve, as in the pinned form) and
-    interior stationary points, which have lambda1 = 0."""
-    cap = 1.0 / theta
-    boundary = maximize_1d(
-        ScalarObjective(lambda l2: _curve_value(spec, al, l2, cap)),
-        tol=1e-9, coarse=81, s_lo=-12.0, s_hi=12.0).value
-
-    def interior(l2: float) -> float:
-        g = _beta_grad(spec, 0.0, l2)
-        if g is None or g[0] > cap:
-            return -INF
-        x2 = g[1]
-        bstar = l2 * x2 - spec.beta(0.0, l2)
-        return al * x2 - bstar
-
-    try:
-        int_val = maximize_1d(ScalarObjective(interior), tol=1e-9,
-                              coarse=81, s_lo=-12.0, s_hi=12.0).value
-    except ValueError:
-        int_val = -INF
-    return theta * max(boundary, int_val)
-
-
-def g2_bound(spec: RenewalSpec, a: OrderLike, primal_check: bool = False,
-             diagnostics: Optional[Dict] = None) -> float:
-    """Sharpened bound via the theta-family of constrained conjugate values.
-
-    The inner value is evaluated in its single-variable dual form (exact
-    under the bound's hypotheses and a valid upper bound in general); with
-    primal_check the nested conjugate form is recomputed at the optimal
-    theta and must not exceed the dual value.
-    """
-    al = as_order(a).alpha
-    _check_beta_near_origin(spec)
+def _theta_dual_bound(spec: RenewalSpec, al: float, restrict_nonpos: bool,
+                      diagnostics: Optional[Dict]) -> float:
+    """The g2 (restrict_nonpos) or g3 bound past its hypothesis gate: the
+    sup over theta of the single-variable dual inner value, normalized by
+    (max(v, 0) + c(alpha)) / (alpha (alpha - 1)). diagnostics, when given,
+    receives the optimal multiplier theta_star and the dual value."""
     warm = al * spec.h_bar if np.isfinite(spec.h_bar) else None
-    theta_star, g2 = _sup_over_theta(
-        lambda th: _dual_inner(spec, al, th, restrict_nonpos=True), warm)
+    theta_star, v = _sup_over_theta(
+        lambda th: _dual_inner(spec, al, th, restrict_nonpos), warm)
     if diagnostics is not None:
         diagnostics["theta_star"] = theta_star
-        diagnostics["dual"] = g2
-    if primal_check:
-        primal = _primal_g2(spec, al, theta_star)
-        if diagnostics is not None:
-            diagnostics["primal"] = primal
-        if primal > g2 + 1e-6 * max(1.0, abs(g2)):
-            raise AssertionError(
-                f"primal value {primal} exceeds its dual upper bound {g2}")
-    return (max(g2, 0.0) + spec.c(al)) / (al * (al - 1.0))
+        diagnostics["dual"] = v
+    return (max(v, 0.0) + spec.c(al)) / (al * (al - 1.0))
+
+
+def g2_bound(spec: RenewalSpec, a: OrderLike, diagnostics: Optional[Dict] = None) -> float:
+    """Sharpened bound via the theta-family of constrained conjugate values,
+    each evaluated in its single-variable dual form (exact under the bound's
+    hypotheses and a valid upper bound in general)."""
+    al = as_order(a).alpha
+    _check_beta_near_origin(spec)
+    return _theta_dual_bound(spec, al, restrict_nonpos=True, diagnostics=diagnostics)
 
 
 def g3_bound(spec: RenewalSpec, a: OrderLike, override: bool = False,
-             primal_check: bool = False, diagnostics: Optional[Dict] = None) -> float:
+             diagnostics: Optional[Dict] = None) -> float:
     """Sharpest bound; requires gamma(s) finite for all s <= 0 and sup H
     finite. override skips the hypothesis gate (unproven territory where the
     formula may still be exact, e.g. slow exponential densities)."""
@@ -595,20 +469,7 @@ def g3_bound(spec: RenewalSpec, a: OrderLike, override: bool = False,
             if not np.isfinite(spec.gamma_val(s)):
                 raise HypothesisViolationError(
                     f"gamma({s}) diverges; g3 hypothesis fails (use g2_bound)")
-    warm = al * spec.h_bar if np.isfinite(spec.h_bar) else None
-    theta_star, g3 = _sup_over_theta(
-        lambda th: _dual_inner(spec, al, th, restrict_nonpos=False), warm)
-    if diagnostics is not None:
-        diagnostics["theta_star"] = theta_star
-        diagnostics["dual"] = g3
-    if primal_check:
-        primal = _primal_g3(spec, al, theta_star)
-        if diagnostics is not None:
-            diagnostics["primal"] = primal
-        if primal > g3 + 1e-6 * max(1.0, abs(g3)):
-            raise AssertionError(
-                f"primal value {primal} exceeds its dual upper bound {g3}")
-    return (max(g3, 0.0) + spec.c(al)) / (al * (al - 1.0))
+    return _theta_dual_bound(spec, al, restrict_nonpos=False, diagnostics=diagnostics)
 
 
 @dataclass

@@ -169,8 +169,7 @@ def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2",
     def obj_tilde(gt: float) -> float:
         return rs_objective(inst, 1.0 / gt, family=family)
 
-    res = minimize_1d(ScalarObjective(obj_tilde, lo=0.0, hi=1.0 / b, convexity="convex"),
-                      tol=tol)
+    res = minimize_1d(ScalarObjective(obj_tilde, lo=0.0, hi=1.0 / b), tol=tol)
     gamma_star = 1.0 / res.arg
     return RobustBoundResult(
         bound=res.value * inst.horizon,

@@ -122,6 +122,10 @@ ServiceSpec = Union[PoissonProcess, RenewalProcess, DeterministicCycle]
 class ExponentialPatience:
     rate: float
 
+    def __post_init__(self):
+        if not self.rate > 0:
+            raise ValueError("patience rate must be positive")
+
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size=k)
 
@@ -131,6 +135,10 @@ class FixedPatience:
     """Deterministic patience values, cycled over arrival index."""
 
     values: Tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError("need at least one patience value")
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         v = np.asarray(self.values, dtype=float)
@@ -609,6 +617,8 @@ def mc_tail_probability(n: int, horizon: float, gamma: float, lam: float,
     """Naive Monte-Carlo estimate of (1/(t n)) log P(R^n(t)/(t n) > gamma)
     for the Markovian reneging model. Wilson-interval error band on the log
     scale; unestimable when no replication hits the event."""
+    if reps < 1 or not horizon > 0:
+        raise ValueError("need at least one replication and a horizon t > 0")
     hits = 0
     for r in range(reps):
         run = simulate_reneging(

@@ -20,6 +20,14 @@ SCHED = {
 }
 
 
+def _subprocess_env():
+    """The environment with the src/ directory of the package under test
+    first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(renyibounds.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
@@ -59,6 +67,7 @@ RENEGING_SCENARIO = {"model": "reneging", "n": 1, "t": 1.0,
                      "arrival": {"kind": "poisson", "rate": 1.0},
                      "patience": {"kind": "exponential", "rate": 1.0},
                      "service": {"kind": "poisson", "rate": 1.0}}
+MC_TAIL_SCENARIO = {"model": "mc_tail", "n": 2, "t": 1.0, "gamma": 1.0, "lam": 2.0}
 EXPONENTIAL_SPEC = {"kind": "exponential", "rho": 2.0}
 
 
@@ -76,20 +85,44 @@ EXPONENTIAL_SPEC = {"kind": "exponential", "rho": 2.0}
      "'alpha'"),
     (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "replications": "x"},
      "bad reneging scenario"),
+    (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "replications": 0},
+     "need at least one replication"),
+    (["simulate", "--input", "cfg.json"], {**MC_TAIL_SCENARIO, "replications": 0},
+     "need at least one replication"),
+    (["simulate", "--input", "cfg.json"],
+     {**RENEGING_SCENARIO, "replications": 2, "event_log_path": "events.csv"},
+     "event_log_path needs a single replication"),
     (["bound-reneging", "--seed", "3"], None, "unrecognized arguments: --seed 3"),
     (["rdr-family", "--grid-points", "x"], None, "invalid int value"),
     (["nope"], None, "invalid choice"),
     ([], None, "required"),
 ], ids=["missing-file", "bad-json", "not-an-object", "reneging-grid-points",
         "scheduling-no-delta", "scheduling-beta-min", "family-alpha-min", "family-without-b",
-        "renewal-alpha", "simulate-replications", "unknown-flag", "bad-flag-value",
-        "unknown-command", "no-command"])
+        "renewal-alpha", "simulate-replications", "reneging-zero-replications",
+        "mc-tail-zero-replications", "event-log-several-replications", "unknown-flag",
+        "bad-flag-value", "unknown-command", "no-command"])
 def test_missing_input_exits_one(tmp_path, monkeypatch, capsys, argv, cfg, message):
     monkeypatch.chdir(tmp_path)
     if cfg is not None:
         (tmp_path / "cfg.json").write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+    # a refused scenario writes nothing
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if cfg is not None else [])
+
+
+@pytest.mark.parametrize("bad", [{"n": 0}, {"t": 0.0},
+                                 {"patience": {"kind": "exponential", "rate": 0.0}},
+                                 {"patience": {"kind": "fixed", "values": []}}],
+                         ids=["no-servers", "zero-horizon", "zero-patience-rate",
+                              "no-patience-values"])
+def test_bad_reneging_scenario_is_an_error_not_a_traceback(tmp_path, bad):
+    cfg = _write(tmp_path, "cfg.json", {**RENEGING_SCENARIO, **bad})
+    proc = subprocess.run([sys.executable, "-m", "renyibounds.cli", "simulate", "--input", cfg],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_help_exits_zero(capsys):
@@ -285,11 +318,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
         ["rdr-renewal", "--input", _write(tmp_path, "rnw.json", {"spec": EXPONENTIAL_SPEC}),
          "--output", out + "/rnw.json"],
     ]
-    src = os.path.dirname(os.path.dirname(renyibounds.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     subprocess.run([sys.executable, "-c", IMPORT_GUARD, out, json.dumps(runs)],
-                   env=env, check=True)
+                   env=_subprocess_env(), check=True)
     seen = json.loads((tmp_path / "seen.json").read_text())
     assert seen == {"import": [], "codes": [0, 0, 0, 2, 0], "run": [],
                     "reneging": ["scipy.special"]}

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no function outside a class takes a parameter it never reads, and no module
-imports scipy when it is itself imported."""
+no function outside a class takes a parameter it never reads, no module
+imports scipy when it is itself imported, and the tests run against the
+package in this checkout's src/."""
 
 import ast
 import pathlib
@@ -106,3 +107,11 @@ def test_detector_flags_an_unused_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def test_tests_import_the_package_of_this_checkout():
+    # pyproject.toml puts src/ on pytest's path, so a bare `pytest` tests this
+    # tree and not an installed copy of the package
+    import renyibounds
+
+    assert pathlib.Path(renyibounds.__file__).resolve().parent == PACKAGE

@@ -7,7 +7,7 @@ from renyibounds.optimize import INF, ScalarObjective, maximize_1d, minimize_1d
 
 
 def test_minimize_unconstrained_quadratic():
-    res = minimize_1d(ScalarObjective(lambda x: (x - 2.0) ** 2, convexity="convex"))
+    res = minimize_1d(ScalarObjective(lambda x: (x - 2.0) ** 2))
     assert abs(res.arg - 2.0) < 1e-6
     assert res.value < 1e-12
     assert res.converged
@@ -42,8 +42,7 @@ def test_minimize_skips_infinite_plateau():
 
 
 def test_maximize_concave():
-    res = maximize_1d(ScalarObjective(lambda x: -(x - 1.5) ** 2 + 4.0,
-                                      convexity="concave"))
+    res = maximize_1d(ScalarObjective(lambda x: -(x - 1.5) ** 2 + 4.0))
     assert abs(res.arg - 1.5) < 1e-6
     assert abs(res.value - 4.0) < 1e-10
 
