@@ -363,6 +363,8 @@ def _run_multiclass_scenario(cfg: dict, seed: int, assert_mode: bool) -> dict:
         horizon = float(cfg["t"])
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad multiclass scenario: {e}")
+    if n < 1 or not horizon > 0:
+        raise ConfigError("bad multiclass scenario: need n >= 1 and t > 0")
     run = sim_mod.simulate_multiclass_priority(inst, priority, n, horizon,
                                                seed=seed, assert_mode=assert_mode)
     return {
@@ -402,9 +404,12 @@ def cmd_simulate(args) -> int:
         payload = _run_multiclass_scenario(cfg, seed, args.assert_mode)
     elif model == "mc_renyi_rate":
         try:
+            horizon = float(cfg["t"])
+            if not horizon > 0:
+                raise ValueError("need t > 0")
             est = sim_mod.mc_renyi_rate(
                 _arrival_from_dict(cfg["q"]), float(cfg["ref_rate"]),
-                float(cfg["alpha"]), float(cfg["t"]),
+                float(cfg["alpha"]), horizon,
                 int(cfg.get("replications", 1000)), seed=seed,
                 sampling=cfg.get("sampling", "tilted"))
         except (KeyError, ValueError, TypeError) as e:

@@ -115,9 +115,15 @@ def poisson_renyi_rate(x: float, a: OrderLike) -> float:
 
     Divergence rate of a Poisson process of rate x against a unit-rate
     Poisson reference. Nonnegative, strictly convex in x, zero only at x=1.
+
+    ``a`` may also be an ndarray of orders alpha; the result is then the
+    array of the scalar calls' values, equal bit for bit, with NaN where the
+    scalar call refuses the order (alpha <= 1 or NaN).
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
+    if isinstance(a, np.ndarray):
+        return _poisson_renyi_rates(x, a)
     order = as_order(a)
     if order.is_limit or order.alpha - 1.0 < 1e-9:
         return relative_entropy_rate(x)
@@ -131,6 +137,22 @@ def poisson_renyi_rate(x: float, a: OrderLike) -> float:
         power = 0.0
     val = (power - al * x + al - 1.0) / (al * (al - 1.0))
     return max(val, 0.0)
+
+
+def _poisson_renyi_rates(x: float, al: np.ndarray) -> np.ndarray:
+    """poisson_renyi_rate(x, alpha) for an array of orders, in the scalar
+    call's operation order. x^alpha goes through math.exp point by point:
+    numpy's SIMD exp differs from libm's in the last bit on some inputs."""
+    al = np.asarray(al, dtype=float)
+    power = 0.0
+    if x > 0.0:
+        lp = al * math.log(x)
+        power = np.array([math.exp(v) if v <= 700.0 else INF for v in lp.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        val = np.maximum((power - al * x + al - 1.0) / (al * (al - 1.0)), 0.0)
+    val = np.where(power == INF, INF, val)
+    val = np.where(al - 1.0 < 1e-9, relative_entropy_rate(x), val)
+    return np.where(al > 1.0, val, np.nan)
 
 
 @dataclass(frozen=True)

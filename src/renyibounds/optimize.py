@@ -19,11 +19,18 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 @dataclass(frozen=True)
 class ScalarObjective:
-    """A scalar extended-real objective on an open interval (lo, hi)."""
+    """A scalar extended-real objective on an open interval (lo, hi).
+
+    With ``vectorized`` set, ``fn`` also takes a 1-D array of points and
+    returns their values elementwise, with NaN where a point is outside the
+    objective's domain; ``minimize_1d`` then evaluates its whole coarse scan
+    in one call. Every other evaluation still passes a single float.
+    """
 
     fn: Callable[[float], float]
     lo: float = -INF
     hi: float = INF
+    vectorized: bool = False
 
 
 @dataclass
@@ -102,13 +109,23 @@ def minimize_1d(
     expansion if the minimum sits at the scan edge, then golden section.
     Monotone-to-boundary objectives come back with ``boundary=True`` and the
     boundary-limit estimate as the value.
+
+    A vectorized objective gets the ``coarse`` scan points, mapped to x as
+    single points are, in one array call; NaN values count as +inf, as an
+    objective that raises or returns NaN does on the scalar path. Bracket
+    expansion, golden section and the closing probe evaluate one point at a
+    time either way, and ``evaluations`` counts every point.
     """
     to_x = _transform(obj.lo, obj.hi)
     raw = _safe(obj.fn)
     f = lambda s: raw(to_x(s))
 
     grid = np.linspace(s_lo, s_hi, coarse)
-    vals = [f(s) for s in grid]
+    if obj.vectorized:
+        v = np.asarray(obj.fn(np.array([to_x(s) for s in grid])), dtype=float)
+        vals = np.where(np.isnan(v), INF, v).tolist()
+    else:
+        vals = [f(s) for s in grid]
     if all(v == INF for v in vals):
         raise ValueError("objective is not finite anywhere in the probed domain")
     i = int(np.argmin(vals))

@@ -125,6 +125,28 @@ def test_bad_reneging_scenario_is_an_error_not_a_traceback(tmp_path, bad):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+MULTICLASS_SCENARIO = {"model": "multiclass", "arrival_rates": [0.5, 0.4],
+                       "service_rates": [1.0, 2.0], "priority": [0, 1], "t": 50.0}
+MC_RATE_SCENARIO = {"model": "mc_renyi_rate", "q": {"kind": "poisson", "rate": 2.0},
+                    "ref_rate": 1.0, "alpha": 2.0, "t": 10.0, "replications": 10}
+
+
+@pytest.mark.parametrize("scenario", [{**MULTICLASS_SCENARIO, "t": 0.0},
+                                      {**MULTICLASS_SCENARIO, "n": 0},
+                                      {**MC_RATE_SCENARIO, "t": 0.0}],
+                         ids=["multiclass-zero-horizon", "multiclass-no-servers",
+                              "mc-rate-zero-horizon"])
+def test_bad_simulate_scenario_is_an_error_not_a_traceback(tmp_path, scenario):
+    cfg = _write(tmp_path, "cfg.json", scenario)
+    out = tmp_path / "cfg.out"
+    proc = subprocess.run([sys.executable, "-m", "renyibounds.cli", "simulate", "--input", cfg,
+                           "--output", str(out)],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound-reneging", "--help"])

@@ -46,3 +46,36 @@ def test_maximize_concave():
     assert abs(res.arg - 1.5) < 1e-6
     assert abs(res.value - 4.0) < 1e-10
 
+
+
+def test_vectorized_scan_matches_scalar_scan():
+    fn = lambda x: -np.log(x) - np.log(1.0 - x) + 0.3 * x
+    scalar = minimize_1d(ScalarObjective(lambda x: float(fn(x)), lo=0.0, hi=1.0))
+    vector = minimize_1d(ScalarObjective(lambda x: fn(x) if np.ndim(x) else float(fn(x)),
+                                         lo=0.0, hi=1.0, vectorized=True))
+    assert vector == scalar
+    assert type(vector.arg) is float and type(vector.value) is float
+
+
+def test_vectorized_scan_reads_nan_as_infinite():
+    calls = []
+
+    def f(x):
+        calls.append(np.ndim(x))
+        if np.ndim(x):
+            return np.where(x < 0.5, np.nan, (x - 0.7) ** 2)
+        return INF if x < 0.5 else (x - 0.7) ** 2
+
+    vector = minimize_1d(ScalarObjective(f, lo=0.0, hi=1.0, vectorized=True))
+    assert calls.count(1) == 1  # the whole scan in one call
+    scalar = minimize_1d(ScalarObjective(lambda x: INF if x < 0.5 else (x - 0.7) ** 2,
+                                         lo=0.0, hi=1.0))
+    assert vector == scalar
+    assert abs(vector.arg - 0.7) < 1e-6
+
+
+def test_vectorized_scan_not_finite_anywhere_raises():
+    obj = ScalarObjective(lambda x: np.full(np.shape(x), np.nan) if np.ndim(x) else INF,
+                          lo=0.0, vectorized=True)
+    with pytest.raises(ValueError, match="not finite anywhere"):
+        minimize_1d(obj)

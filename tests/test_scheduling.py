@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from renyibounds.divergence import (FiniteDistribution, relative_entropy_rate,
-                                    renyi_divergence)
+from renyibounds.divergence import (FiniteDistribution, poisson_renyi_rate,
+                                    relative_entropy_rate, renyi_divergence)
+from renyibounds.optimize import ScalarObjective, minimize_1d
 from renyibounds.scheduling import (SchedulingInstance, balanced_envelope,
                                     convexity_probe_m, f0_of_alpha,
                                     priority_order, rs_duality_check,
@@ -18,6 +19,10 @@ LEFT = dict(arrival_rates=(1.0, 1.5, 1.8, 2.0, 2.0),
             costs=(0.3, 0.2, 0.2, 0.1, 0.2))
 RIGHT = dict(arrival_rates=(0.5, 0.75, 0.9, 1.0, 1.0),
              service_rates=LEFT["service_rates"], costs=LEFT["costs"])
+# The reference objective of this instance is exactly 0 on a whole interval
+# of tilts, so its minimizer is set by last-bit residues of the penalty.
+FLAT = dict(arrival_rates=(1.0, 0.8, 1.2), service_rates=(8.0, 10.0, 7.0),
+            costs=(0.2, 0.3, 0.25))
 
 
 def _inst(base, beta, delta):
@@ -175,3 +180,80 @@ def test_balanced_envelope_equalizes_entropy_rate():
         balanced_envelope(4.0)  # ell(4) > 1, no balancing point
     with pytest.raises(ValueError):
         balanced_envelope(0.9)
+
+
+def _equivalence_instances():
+    """Seeded 1- to 5-class instances with and without envelopes, the
+    flat-set instance and one with tied service priorities, each as
+    (instance, family)."""
+    rng = np.random.default_rng(14)
+    out = []
+    for _ in range(12):
+        n = int(rng.integers(1, 6))
+        base = dict(arrival_rates=tuple(rng.uniform(0.5, 1.5, n)),
+                    service_rates=tuple(rng.uniform(6.0, 12.0, n)),
+                    costs=tuple(rng.uniform(0.1, 0.4, n)))
+        beta = float(rng.uniform(0.1, 15.0))
+        out.append((SchedulingInstance(**base, beta=beta), "Q2"))
+        delta = float(rng.uniform(0.1, 0.65))
+        out += [(_inst(base, beta, delta), fam) for fam in ("Q2", "Q3")]
+    for beta in (0.1, 2.0):
+        out.append((SchedulingInstance(**FLAT, beta=beta), "Q2"))
+        out += [(_inst(FLAT, beta, 0.15), fam) for fam in ("Q2", "Q3")]
+    # 24 classes in 3 groups with equal mu_hat: the lower class index goes first
+    ties = dict(arrival_rates=tuple(0.05 + 0.01 * i for i in range(24)),
+                service_rates=(6.0, 9.0, 12.0) * 8, costs=(0.3, 0.2, 0.1) * 8)
+    out.append((SchedulingInstance(**ties, beta=1.0), "Q2"))
+    return out
+
+
+def _scan_tilts(beta):
+    """The tilts of the search's coarse scan, tilts at or below beta (value
+    +inf), tilts where expm1(gamma c) overflows to inf, and one so large that
+    gamma/(gamma - beta) rounds to 1, an order the scalar call refuses."""
+    gt = (1.0 / beta) / (1.0 + np.exp(-np.linspace(-30.0, 30.0, 121)))
+    return np.concatenate([1.0 / gt, [0.5 * beta, beta, 1e4, 1e5, 1e300]])
+
+
+def _scalar_or_nan(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except ValueError:
+        return math.nan
+
+
+def test_array_objective_equals_scalar_calls_exactly():
+    for inst, family in _equivalence_instances():
+        gammas = _scan_tilts(inst.beta)
+        values = rs_objective(inst, gammas, family=family)
+        want = [_scalar_or_nan(rs_objective, inst, float(g), family=family) for g in gammas]
+        assert np.isposinf(values[-5:-1]).all() and math.isnan(values[-1])
+        for got, w in zip(values.tolist(), want):
+            assert got == w or (math.isnan(got) and math.isnan(w))
+        w_values, us = w_of_gamma(inst, gammas)
+        for g, got, u in zip(gammas, w_values.tolist(), us):
+            w, u_want = w_of_gamma(inst, float(g))
+            assert got == w and np.array_equal(u, u_want)
+
+
+def test_array_orders_equal_scalar_rate_calls_exactly():
+    orders = np.concatenate([1.0 + np.geomspace(1e-12, 1e3, 400), [1.0, 0.5, np.nan]])
+    for x in (0.0, 0.35, 0.85, 1.0, 1.15, 1.65, 30.0):
+        got = poisson_renyi_rate(x, orders)
+        want = [_scalar_or_nan(poisson_renyi_rate, x, float(a)) for a in orders]
+        assert np.isinf(got).any() or x <= 1.65
+        for g, w in zip(got.tolist(), want):
+            assert g == w or (math.isnan(g) and math.isnan(w))
+
+
+def test_vectorized_tilt_search_equals_scalar_search():
+    for inst, family in _equivalence_instances():
+        b = inst.beta
+        fn = lambda gt: rs_objective(inst, 1.0 / gt, family=family)
+        scalar = minimize_1d(ScalarObjective(fn, lo=0.0, hi=1.0 / b))
+        vector = minimize_1d(ScalarObjective(fn, lo=0.0, hi=1.0 / b, vectorized=True))
+        assert vector == scalar
+        res = robust_rs_bound(inst, family=family)
+        assert res.bound == scalar.value * inst.horizon and res.gamma_star == 1.0 / scalar.arg
+        assert (res.evaluations, res.converged, res.boundary) == (
+            scalar.evaluations, scalar.converged, scalar.boundary)
