@@ -69,6 +69,15 @@ def _cfg_value(cfg: dict, key: str, default=None, kind=float):
         raise ConfigError(f"bad {key!r} in config: {e}")
 
 
+def _expect(value, kind: type, what: str):
+    """value when it is a JSON object (kind dict) or array (kind list), else
+    a ConfigError naming what it should be."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                          f"not {value!r}")
+    return value
+
+
 def _write_output(text: str, path: Optional[str]):
     if path is None:
         sys.stdout.write(text)
@@ -113,7 +122,7 @@ def _family_label(d: dict) -> str:
 
 def cmd_rdr_family(args) -> int:
     cfg = _load_config(args.input)
-    descriptors = cfg.get("families", _DEFAULT_FAMILIES)
+    descriptors = _expect(cfg.get("families", _DEFAULT_FAMILIES), list, "'families'")
     try:
         ref = fam_mod.reference_from_dict(cfg.get("reference", {"rate": 1.0}))
     except (AttributeError, ValueError, TypeError) as e:
@@ -136,11 +145,14 @@ def cmd_rdr_family(args) -> int:
         curves.append(fam_mod.family_curve(fam, ref))
 
     lines = ["alpha," + ",".join(labels)]
-    for al in alphas:
-        row = [_fmt(float(al))]
-        for c in curves:
-            row.append(_fmt(c(float(al))) if c.domain_contains(float(al)) else "nan")
-        lines.append(",".join(row))
+    try:
+        for al in alphas:
+            row = [_fmt(float(al))]
+            for c in curves:
+                row.append(_fmt(c(float(al))) if c.domain_contains(float(al)) else "nan")
+            lines.append(",".join(row))
+    except ValueError as e:
+        raise ConfigError(f"bad family for this reference: {e}")
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -148,7 +160,7 @@ def cmd_rdr_family(args) -> int:
 # -- rdr-renewal ------------------------------------------------------------
 
 def _renewal_spec_from_dict(d: dict) -> rnw_mod.RenewalSpec:
-    kind = d.get("kind")
+    kind = _expect(d, dict, "renewal spec").get("kind")
     try:
         if kind == "exponential":
             return rnw_mod.exponential_spec(float(d["rho"]))
@@ -268,7 +280,7 @@ def cmd_bound_reneging(args) -> int:
 # -- simulate ---------------------------------------------------------------
 
 def _arrival_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = _expect(d, dict, "process spec").get("kind")
     try:
         if kind == "poisson":
             return sim_mod.PoissonProcess(float(d["rate"]))
@@ -286,13 +298,13 @@ def _arrival_from_dict(d: dict):
 
 
 def _service_from_dict(d: dict):
-    if d.get("kind") == "cycle":
+    if _expect(d, dict, "service spec").get("kind") == "cycle":
         return sim_mod.DeterministicCycle(tuple(float(v) for v in d["intervals"]))
     return _arrival_from_dict(d)
 
 
 def _patience_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = _expect(d, dict, "patience spec").get("kind")
     try:
         if kind == "exponential":
             return sim_mod.ExponentialPatience(float(d["rate"]))
@@ -303,7 +315,7 @@ def _patience_from_dict(d: dict):
     raise ConfigError(f"unknown patience kind {kind!r}")
 
 
-def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool, threads: int) -> dict:
+def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool) -> dict:
     try:
         n = int(cfg["n"])
         horizon = float(cfg["t"])
@@ -325,17 +337,13 @@ def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool, threads: int
         services = [_service_from_dict(s) for s in service]
     else:
         services = _service_from_dict(service)
-
-    def one(rep: int) -> sim_mod.SimRun:
-        return sim_mod.simulate_reneging(n, horizon, arrival, patience, services,
-                                         seed=seed, rep=rep, assert_mode=assert_mode,
-                                         initial_customers=initial)
-    if threads > 1 and reps > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one, range(reps)))
-    else:
-        runs = [one(r) for r in range(reps)]
+    try:
+        runs = [sim_mod.simulate_reneging(n, horizon, arrival, patience, services,
+                                          seed=seed, rep=rep, assert_mode=assert_mode,
+                                          initial_customers=initial)
+                for rep in range(reps)]
+    except ValueError as e:
+        raise ConfigError(f"bad reneging scenario: {e}")
     rates = [r.reneging_count / (horizon * n) for r in runs]
     result = {
         "model": "reneging",
@@ -365,8 +373,11 @@ def _run_multiclass_scenario(cfg: dict, seed: int, assert_mode: bool) -> dict:
         raise ConfigError(f"bad multiclass scenario: {e}")
     if n < 1 or not horizon > 0:
         raise ConfigError("bad multiclass scenario: need n >= 1 and t > 0")
-    run = sim_mod.simulate_multiclass_priority(inst, priority, n, horizon,
-                                               seed=seed, assert_mode=assert_mode)
+    try:
+        run = sim_mod.simulate_multiclass_priority(inst, priority, n, horizon,
+                                                   seed=seed, assert_mode=assert_mode)
+    except ValueError as e:
+        raise ConfigError(f"bad multiclass scenario: {e}")
     return {
         "model": "multiclass",
         "terminal": [int(v) for v in run.terminal],
@@ -399,7 +410,7 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _cfg_value(cfg, "seed", 0, int)
     exit_code = 0
     if model == "reneging":
-        payload = _run_reneging_scenario(cfg, seed, args.assert_mode, args.threads)
+        payload = _run_reneging_scenario(cfg, seed, args.assert_mode)
     elif model == "multiclass":
         payload = _run_multiclass_scenario(cfg, seed, args.assert_mode)
     elif model == "mc_renyi_rate":
@@ -473,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="JSON config / scenario file")
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for replication batches")
+                       help="accepted and checked (at least 1); no command reads it")
         for flag in own_flags:
             p.add_argument(flag, **flags[flag])
         p.set_defaults(fn=fn)

@@ -17,7 +17,7 @@ import numpy as np
 from .optimize import INF, ScalarObjective, minimize_1d
 
 DIVERGENCE_ATOL = 1e-9
-BOUND_ATOL = 1e-6
+BOUND_ATOL = 1e-6  # absolute tolerance to which checks pin a reported bound
 
 
 @dataclass(frozen=True)
@@ -160,23 +160,18 @@ class AlphaCurve:
     """A map alpha -> divergence rate on a declared domain inside (1, inf).
 
     ``anchor`` restricts evaluation to a single order (families whose defining
-    constraint is order-specific). ``alpha_max`` with ``max_open`` describes
-    the right end of the domain.
+    constraint is order-specific). Otherwise the domain is the open interval
+    (1, alpha_max).
     """
 
     fn: Callable[[float], float]
     alpha_max: float = INF
-    max_open: bool = True
     anchor: Optional[float] = None
 
     def domain_contains(self, al: float) -> bool:
         if self.anchor is not None:
             return abs(al - self.anchor) <= 1e-12
-        if al <= 1.0:
-            return False
-        if al < self.alpha_max:
-            return True
-        return (al == self.alpha_max) and not self.max_open
+        return 1.0 < al < self.alpha_max
 
     def __call__(self, a: OrderLike) -> float:
         al = as_order(a).alpha
@@ -202,13 +197,8 @@ class AlphaCurve:
         if self.anchor is not None and other.anchor is not None \
                 and abs(self.anchor - other.anchor) > 1e-12:
             raise ValueError("cannot add curves with different anchors")
-        amax = min(self.alpha_max, other.alpha_max)
-        if self.alpha_max == other.alpha_max:
-            mopen = self.max_open or other.max_open
-        else:
-            mopen = self.max_open if self.alpha_max < other.alpha_max else other.max_open
         return AlphaCurve(lambda al: self.fn(al) + other.fn(al),
-                          alpha_max=amax, max_open=mopen, anchor=anchor)
+                          alpha_max=min(self.alpha_max, other.alpha_max), anchor=anchor)
 
 
 @dataclass(frozen=True)
@@ -253,7 +243,7 @@ class RrbResult:
     boundary: bool
 
 
-def rrb_optimize(inputs: RrbInputs, tol: float = BOUND_ATOL) -> RrbResult:
+def rrb_optimize(inputs: RrbInputs) -> RrbResult:
     """Best bound over the curve's alpha domain.
 
     Upper bounds are minimized, lower bounds maximized, on s = log(alpha-1)
@@ -266,17 +256,16 @@ def rrb_optimize(inputs: RrbInputs, tol: float = BOUND_ATOL) -> RrbResult:
     obj = ScalarObjective(
         lambda al: rrb_upper(inputs, al) * (1.0 if inputs.direction == "upper" else -1.0),
         lo=1.0, hi=curve.alpha_max)
-    res = minimize_1d(obj, tol=min(tol, 1e-8))
+    res = minimize_1d(obj, tol=1e-8)
     value = res.value if inputs.direction == "upper" else -res.value
     return RrbResult(res.arg, value, res.converged, res.boundary)
 
 
-def jackson_compose(gamma_ref: float, per_primitive_rdrs: Sequence[AlphaCurve],
-                    tol: float = BOUND_ATOL) -> RrbResult:
+def jackson_compose(gamma_ref: float, per_primitive_rdrs: Sequence[AlphaCurve]) -> RrbResult:
     """Network-level robust bound: sum primitive divergence-rate curves and
     optimize the resulting single-curve bound. gamma_ref is the reference
     network's (user-supplied) decay rate, a nonpositive real."""
     total = AlphaCurve.zero()
     for c in per_primitive_rdrs:
         total = total + c
-    return rrb_optimize(RrbInputs(gamma_ref, total), tol=tol)
+    return rrb_optimize(RrbInputs(gamma_ref, total))

@@ -11,31 +11,23 @@ Families (all relative to a rate-lambda0 Poisson reference):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .divergence import AlphaCurve, OrderLike, as_order, poisson_renyi_rate
 
 
 @dataclass(frozen=True)
 class MarkSpec:
-    """Envelope on the mark density ratio psi, plus an optional moment
-    integral c(alpha) = integral of (psi^alpha - 1) against the mark law."""
+    """Envelope a_mark <= psi <= b_mark on the mark density ratio psi. Q2
+    folds it into its hazard band multiplicatively; Q3 refuses a non-unit
+    envelope."""
 
     a_mark: float = 1.0
     b_mark: float = 1.0
-    moment_integral: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not (0.0 < self.a_mark <= 1.0 <= self.b_mark):
             raise ValueError("mark envelope requires 0 < a_mark <= 1 <= b_mark")
-        if self.moment_integral is not None:
-            if abs(self.moment_integral(1.0)) > 1e-9:
-                raise ValueError("moment_integral must vanish at alpha = 1")
-
-    def c(self, alpha: float) -> float:
-        if self.moment_integral is None:
-            return 0.0
-        return self.moment_integral(alpha)
 
 
 @dataclass(frozen=True)
@@ -166,8 +158,7 @@ def family_curve(fam: UncertaintyFamily, ref: PoissonReference) -> AlphaCurve:
     if isinstance(fam, Q3):
         return AlphaCurve(lambda al: rdr_q3(fam, ref, al))
     if isinstance(fam, Q4):
-        return AlphaCurve(lambda al: rdr_q4(fam, ref, al),
-                          alpha_max=fam.alpha0, max_open=True)
+        return AlphaCurve(lambda al: rdr_q4(fam, ref, al), alpha_max=fam.alpha0)
     raise TypeError(f"unknown family {fam!r}")
 
 

@@ -162,8 +162,7 @@ def robust_bound_curve(inst: RenegingInstance, fam: CompositeFamily,
 
 
 def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily,
-                          bare_bracket: bool = False,
-                          tol: float = 1e-8) -> Tuple[float, float]:
+                          bare_bracket: bool = False) -> Tuple[float, float]:
     """Best single-alpha bound on the normalized log-probability of exceeding
     reneging rate gamma under the composite family. Returns (bound, alpha*).
 
@@ -172,7 +171,7 @@ def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily,
     multiplied back by mu for general service rates.
     """
     ref_log_prob, total = robust_bound_curve(inst, fam, bare_bracket)
-    res = rrb_optimize(RrbInputs(ref_log_prob, total), tol=tol)
+    res = rrb_optimize(RrbInputs(ref_log_prob, total))
     return res.bound * inst.mu, res.alpha_star
 
 
@@ -187,23 +186,19 @@ FIG3_COLUMNS = [
 ]
 
 
-def default_families(delta: float = 0.3,
-                     small_box: Optional[GammaBox] = None,
-                     large_box: Optional[GammaBox] = None) -> Dict[str, CompositeFamily]:
+def default_families(delta: float = 0.3) -> Dict[str, CompositeFamily]:
     """The six bound columns of the figure: full and service-only (primed)
     hazard-band families plus two nested Gamma boxes."""
     a, b = 1.0 - delta, 1.0 + delta
-    if small_box is None:
-        small_box = GammaBox(1.0, 1.1, 1.0 + 1e-9, 1.1)
-    if large_box is None:
-        large_box = GammaBox(1.0, 1.5, 1.0 + 1e-9, 1.5)
     return {
         "Q2": CompositeFamily((a, b), (a, b), Q2(a, b)),
         "Q3": CompositeFamily((a, b), (a, b), Q3(a, b)),
         "Q2prime": CompositeFamily((1.0, 1.0), (1.0, 1.0), Q2(a, b)),
         "Q3prime": CompositeFamily((1.0, 1.0), (1.0, 1.0), Q3(a, b)),
-        "gammabox_small": CompositeFamily((1.0, 1.0), (1.0, 1.0), small_box),
-        "gammabox_large": CompositeFamily((1.0, 1.0), (1.0, 1.0), large_box),
+        "gammabox_small": CompositeFamily((1.0, 1.0), (1.0, 1.0),
+                                          GammaBox(1.0, 1.1, 1.0 + 1e-9, 1.1)),
+        "gammabox_large": CompositeFamily((1.0, 1.0), (1.0, 1.0),
+                                          GammaBox(1.0, 1.5, 1.0 + 1e-9, 1.5)),
     }
 
 

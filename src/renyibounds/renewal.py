@@ -7,7 +7,7 @@ inter-event density g against the unit exponential), its moment generating
 integrals gamma(s) and beta(lambda1, lambda2), and the conjugate beta*.
 Four bounds are provided, from coarsest to sharpest:
 
-  rough: (e^{alpha H_bar} - 1 + c(alpha)) / (alpha (alpha-1))
+  rough: (e^{alpha H_bar} - 1) / (alpha (alpha-1))
   g1:    conjugate-pair Hoelder relaxation of the rough bound
   g2:    sup over theta of the constrained conjugate value G2(theta)
   g3:    sup over theta of the pinned conjugate value G3(theta) (needs
@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .divergence import OrderLike, as_order
-from .families import MarkSpec
 from .optimize import INF, ScalarObjective, maximize_1d, minimize_1d
 
 
@@ -44,8 +44,8 @@ class RenewalSpec:
 
     log_density must be vectorized and return -inf where the density
     vanishes. Closed-form beta, hazard machinery and the inverse CDF are
-    optional; beta falls back to quadrature on an internal grid, and gamma
-    is always e^{beta(0, s)}.
+    optional; beta falls back to quadrature on a 16001-point grid on
+    [0, grid_max], and gamma is always e^{beta(0, s)}.
     """
 
     name: str
@@ -56,29 +56,17 @@ class RenewalSpec:
     hazard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cum_hazard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ppf: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    mark: Optional[MarkSpec] = None
     grid_max: float = 80.0
-    grid_n: int = 16001
-    _grid: Optional[np.ndarray] = field(default=None, repr=False)
-    _lg: Optional[np.ndarray] = field(default=None, repr=False)
 
-    # -- grid plumbing ------------------------------------------------------
-
-    def _ensure_grid(self):
-        if self._grid is None:
-            self._grid = np.linspace(0.0, self.grid_max, self.grid_n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lg = np.asarray(self.log_density(self._grid), dtype=float)
-            lg[np.isnan(lg)] = -INF
-            self._lg = lg
-        return self._grid, self._lg
-
-    def density(self, x):
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_density(x))
-
-    def c(self, alpha: float) -> float:
-        return self.mark.c(alpha) if self.mark is not None else 0.0
+    @cached_property
+    def _grid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Quadrature grid and the log-density on it (NaN read as -inf),
+        built on first use."""
+        x = np.linspace(0.0, self.grid_max, 16001)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lg = np.asarray(self.log_density(x), dtype=float)
+        lg[np.isnan(lg)] = -INF
+        return x, lg
 
     # -- moment integrals ---------------------------------------------------
 
@@ -88,7 +76,7 @@ class RenewalSpec:
             return self.beta_closed(l1, l2)
         if l2 < 0.0 and not self.support_full:
             return INF
-        x, lg = self._ensure_grid()
+        x, lg = self._grid
         if l2 == 0.0:
             # zero-density regions contribute exp(0 * H) = 1 here, so the
             # log-density must not enter the integrand at all
@@ -363,7 +351,7 @@ def rough_bound(spec: RenewalSpec, a: OrderLike) -> float:
     al = as_order(a).alpha
     if not np.isfinite(spec.h_bar):
         raise HypothesisViolationError("rough bound needs sup H finite")
-    return (math.exp(al * spec.h_bar) - 1.0 + spec.c(al)) / (al * (al - 1.0))
+    return (math.exp(al * spec.h_bar) - 1.0) / (al * (al - 1.0))
 
 
 def g1_bound(spec: RenewalSpec, a: OrderLike) -> float:
@@ -382,8 +370,7 @@ def g1_bound(spec: RenewalSpec, a: OrderLike) -> float:
         return (math.exp(lg) - 1.0) / p
 
     res = minimize_1d(ScalarObjective(ghat), tol=1e-10, coarse=161, s_lo=-14.0, s_hi=14.0)
-    g1 = res.value
-    return (max(g1, 0.0) + spec.c(al)) / (al * (al - 1.0))
+    return max(res.value, 0.0) / (al * (al - 1.0))
 
 
 def _check_beta_near_origin(spec: RenewalSpec):
@@ -434,8 +421,8 @@ def _sup_over_theta(inner: Callable[[float], float], warm: Optional[float]) -> T
 def _theta_dual_bound(spec: RenewalSpec, al: float, restrict_nonpos: bool,
                       diagnostics: Optional[Dict]) -> float:
     """The g2 (restrict_nonpos) or g3 bound past its hypothesis gate: the
-    sup over theta of the single-variable dual inner value, normalized by
-    (max(v, 0) + c(alpha)) / (alpha (alpha - 1)). diagnostics, when given,
+    sup over theta of the single-variable dual inner value v, normalized as
+    max(v, 0) / (alpha (alpha - 1)). diagnostics, when given,
     receives the optimal multiplier theta_star and the dual value."""
     warm = al * spec.h_bar if np.isfinite(spec.h_bar) else None
     theta_star, v = _sup_over_theta(
@@ -443,7 +430,7 @@ def _theta_dual_bound(spec: RenewalSpec, al: float, restrict_nonpos: bool,
     if diagnostics is not None:
         diagnostics["theta_star"] = theta_star
         diagnostics["dual"] = v
-    return (max(v, 0.0) + spec.c(al)) / (al * (al - 1.0))
+    return max(v, 0.0) / (al * (al - 1.0))
 
 
 def g2_bound(spec: RenewalSpec, a: OrderLike, diagnostics: Optional[Dict] = None) -> float:

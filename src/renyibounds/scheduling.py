@@ -227,8 +227,7 @@ def rs_objective(inst: SchedulingInstance, gamma, family: str = "Q2"):
     return f0_of_alpha(inst, al, family=family) / (gamma - b) + w / gamma
 
 
-def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2",
-                    tol: float = 1e-8) -> RobustBoundResult:
+def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2") -> RobustBoundResult:
     """Infimum of the robust risk-sensitive objective over the tilt gamma.
 
     Optimized in gamma_tilde = 1/gamma on (0, 1/beta), where the objective
@@ -240,7 +239,7 @@ def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2",
     def obj_tilde(gt: float) -> float:
         return rs_objective(inst, 1.0 / gt, family=family)
 
-    res = minimize_1d(ScalarObjective(obj_tilde, lo=0.0, hi=1.0 / b, vectorized=True), tol=tol)
+    res = minimize_1d(ScalarObjective(obj_tilde, lo=0.0, hi=1.0 / b, vectorized=True), tol=1e-8)
     gamma_star = 1.0 / res.arg
     return RobustBoundResult(
         bound=res.value * inst.horizon,
@@ -252,14 +251,14 @@ def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2",
     )
 
 
-def reference_bound(inst: SchedulingInstance, tol: float = 1e-8) -> RobustBoundResult:
+def reference_bound(inst: SchedulingInstance) -> RobustBoundResult:
     """Reference model value: no envelope penalty, inf over gamma > beta of
     W(gamma) T / gamma (the no-uncertainty limit of the robust bound)."""
     degenerate = SchedulingInstance(
         inst.arrival_rates, inst.service_rates, inst.costs, inst.beta, inst.horizon,
         tuple((1.0, 1.0) for _ in range(inst.num_classes)),
         tuple((1.0, 1.0) for _ in range(inst.num_classes)))
-    return robust_rs_bound(degenerate, family="Q2", tol=tol)
+    return robust_rs_bound(degenerate, family="Q2")
 
 
 # -- oracles and probes -----------------------------------------------------

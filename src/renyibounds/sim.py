@@ -233,7 +233,6 @@ EventRecord = Tuple[float, str, int, int]  # (t, kind, customer_id, server_id)
 @dataclass
 class SystemState:
     n: int
-    clock: float = 0.0
     arrived: int = 0
     routed: int = 0
     reneged: int = 0
@@ -386,12 +385,10 @@ def simulate_reneging(n: int, horizon: float, arrival: ArrivalSpec,
 
         # busy-time bookkeeping for servers that remained busy through t0 is
         # implicit: accumulation happens only at departures
-        state.clock = t0
         state.queued = len(waiting)
         if assert_mode:
             state.check()
 
-    state.clock = horizon
     return SimRun(log=log, state=state, reneging_count=state.reneged,
                   arrival_count=state.arrived)
 
@@ -510,19 +507,19 @@ def _aggregate_log_mean(log_y: np.ndarray, scale: float, seed: int) -> McEstimat
                       max_weight_share=math.exp(float(np.max(log_y[finite])) - log_sum))
 
 
-def _renewal_tilted_tables(spec: RenewalSpec, ref_rate: float, al: float,
-                           x_max: float = 200.0, n_grid: int = 40001):
-    """Grids for the alpha-tilted renewal measure: cumulative tilted hazard
-    (for sampling by inversion) and the cumulative weight exponent
-    F(x) = integral of (h~ - alpha h + (alpha-1) ref) over (0, x)."""
-    x = np.linspace(0.0, x_max, n_grid)
+def _renewal_tilted_tables(spec: RenewalSpec, ref_rate: float, al: float):
+    """Grids for the alpha-tilted renewal measure on [0, 200]: the grid x,
+    the cumulative tilted hazard (for sampling by inversion) and the
+    cumulative weight exponent F(x) = integral of (h~ - alpha h +
+    (alpha-1) ref) over (0, x)."""
+    x = np.linspace(0.0, 200.0, 40001)
     h = np.maximum(np.asarray(spec.hazard(x), dtype=float), 0.0)
     h_tilt = h ** al * ref_rate ** (1.0 - al)
     dx = x[1] - x[0]
     cum = lambda v: np.concatenate([[0.0], np.cumsum((v[1:] + v[:-1]) * 0.5 * dx)])
     cum_tilt = cum(h_tilt)
     weight = cum(h_tilt - al * h + (al - 1.0) * ref_rate)
-    return x, h, h_tilt, cum_tilt, weight
+    return x, cum_tilt, weight
 
 
 def mc_renyi_rate(q_spec: Union[PoissonProcess, CoxPiecewise, RenewalProcess],
@@ -548,6 +545,8 @@ def mc_renyi_rate(q_spec: Union[PoissonProcess, CoxPiecewise, RenewalProcess],
     abar = al * (al - 1.0)
     if reps < 2:
         raise ValueError("need at least two replications")
+    if sampling not in ("tilted", "reference"):
+        raise ValueError(f"sampling must be 'tilted' or 'reference', not {sampling!r}")
     if isinstance(q_spec, PoissonProcess):
         q_spec = CoxPiecewise(((1.0, q_spec.rate),), cycle=True)
 
@@ -575,7 +574,7 @@ def mc_renyi_rate(q_spec: Union[PoissonProcess, CoxPiecewise, RenewalProcess],
         if spec.hazard is None or spec.cum_hazard is None:
             raise ValueError("renewal spec needs hazard machinery for the oracle")
         if sampling == "tilted":
-            x, h, h_tilt, cum_tilt, weight = _renewal_tilted_tables(spec, ref_rate, al)
+            x, cum_tilt, weight = _renewal_tilted_tables(spec, ref_rate, al)
             if cum_tilt[-1] < 30.0:
                 raise ValueError("tilted hazard table too short for inversion sampling")
             log_y = np.empty(reps)

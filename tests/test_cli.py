@@ -69,6 +69,10 @@ RENEGING_SCENARIO = {"model": "reneging", "n": 1, "t": 1.0,
                      "service": {"kind": "poisson", "rate": 1.0}}
 MC_TAIL_SCENARIO = {"model": "mc_tail", "n": 2, "t": 1.0, "gamma": 1.0, "lam": 2.0}
 EXPONENTIAL_SPEC = {"kind": "exponential", "rho": 2.0}
+MULTICLASS_SCENARIO = {"model": "multiclass", "arrival_rates": [0.5, 0.4],
+                       "service_rates": [1.0, 2.0], "priority": [0, 1], "t": 50.0}
+MC_RATE_SCENARIO = {"model": "mc_renyi_rate", "q": {"kind": "poisson", "rate": 2.0},
+                    "ref_rate": 1.0, "alpha": 2.0, "t": 10.0, "replications": 10}
 
 
 @pytest.mark.parametrize("argv, cfg, message", [
@@ -92,6 +96,31 @@ EXPONENTIAL_SPEC = {"kind": "exponential", "rho": 2.0}
     (["simulate", "--input", "cfg.json"],
      {**RENEGING_SCENARIO, "replications": 2, "event_log_path": "events.csv"},
      "event_log_path needs a single replication"),
+    (["rdr-family", "--input", "cfg.json"], {"families": 5}, "'families' must be a JSON array"),
+    (["rdr-family", "--input", "cfg.json"],
+     {"reference": {"rate": 1.0, "mark": {"a_mark": 0.8, "b_mark": 1.5}},
+      "families": [{"family": "Q3", "a": 0.5, "b": 2.0}]}, "hazard-band family only"),
+    (["rdr-renewal", "--input", "cfg.json"], {"spec": 3}, "renewal spec must be a JSON object"),
+    (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "arrival": 3},
+     "process spec must be a JSON object"),
+    (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "patience": [1.0]},
+     "patience spec must be a JSON object"),
+    (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "service": "poisson"},
+     "service spec must be a JSON object"),
+    (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "service": [1.0]},
+     "service spec must be a JSON object"),
+    (["simulate", "--input", "cfg.json"],
+     {**RENEGING_SCENARIO, "service": [{"kind": "poisson", "rate": 1.0}] * 2},
+     "need one service spec per server"),
+    (["simulate", "--input", "cfg.json"], {**MC_RATE_SCENARIO, "q": 2.0},
+     "process spec must be a JSON object"),
+    (["simulate", "--input", "cfg.json"],
+     {**MC_RATE_SCENARIO, "q": {"kind": "renewal", "spec": "gamma"}},
+     "renewal spec must be a JSON object"),
+    (["simulate", "--input", "cfg.json"], {**MC_RATE_SCENARIO, "sampling": "bogus"},
+     "sampling must be 'tilted' or 'reference'"),
+    (["simulate", "--input", "cfg.json"], {**MULTICLASS_SCENARIO, "priority": [0, 0]},
+     "priority must be a permutation of the classes"),
     (["bound-reneging", "--seed", "3"], None, "unrecognized arguments: --seed 3"),
     (["rdr-family", "--grid-points", "x"], None, "invalid int value"),
     (["nope"], None, "invalid choice"),
@@ -99,7 +128,11 @@ EXPONENTIAL_SPEC = {"kind": "exponential", "rho": 2.0}
 ], ids=["missing-file", "bad-json", "not-an-object", "reneging-grid-points",
         "scheduling-no-delta", "scheduling-beta-min", "family-alpha-min", "family-without-b",
         "renewal-alpha", "simulate-replications", "reneging-zero-replications",
-        "mc-tail-zero-replications", "event-log-several-replications", "unknown-flag",
+        "mc-tail-zero-replications", "event-log-several-replications", "families-not-a-list",
+        "marked-reference-q3", "renewal-spec-not-an-object", "arrival-not-an-object",
+        "patience-not-an-object", "service-not-an-object", "service-entry-not-an-object",
+        "service-list-length", "mc-rate-q-not-an-object", "mc-rate-spec-not-an-object",
+        "mc-rate-unknown-sampling", "multiclass-priority-not-a-permutation", "unknown-flag",
         "bad-flag-value", "unknown-command", "no-command"])
 def test_missing_input_exits_one(tmp_path, monkeypatch, capsys, argv, cfg, message):
     monkeypatch.chdir(tmp_path)
@@ -123,12 +156,6 @@ def test_bad_reneging_scenario_is_an_error_not_a_traceback(tmp_path, bad):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-
-
-MULTICLASS_SCENARIO = {"model": "multiclass", "arrival_rates": [0.5, 0.4],
-                       "service_rates": [1.0, 2.0], "priority": [0, 1], "t": 50.0}
-MC_RATE_SCENARIO = {"model": "mc_renyi_rate", "q": {"kind": "poisson", "rate": 2.0},
-                    "ref_rate": 1.0, "alpha": 2.0, "t": 10.0, "replications": 10}
 
 
 @pytest.mark.parametrize("scenario", [{**MULTICLASS_SCENARIO, "t": 0.0},
@@ -161,7 +188,7 @@ SUBCOMMANDS = _build_parser()._subparsers._group_actions[0].choices
 def test_every_flag_is_read_by_its_handler(name):
     sub = SUBCOMMANDS[name]
     source = inspect.getsource(sub.get_default("fn"))
-    # --threads is read by main's check for every command and by simulate
+    # --threads is only checked by main, for every command: no handler reads it
     dests = {a.dest for a in sub._actions if a.option_strings} - {"help", "threads"}
     assert sorted(d for d in dests if f"args.{d}" not in source) == []
 
@@ -315,6 +342,7 @@ out, runs = sys.argv[1], json.loads(sys.argv[2])
 seen = {"import": scipy_modules()}
 seen["codes"] = [cli.main(argv) for argv in runs]
 seen["run"] = scipy_modules()
+seen["futures"] = "concurrent.futures" in sys.modules
 seen["codes"].append(cli.main(["bound-reneging", "--grid-points", "2",
                                "--output", out + "/ren.csv"]))
 seen["reneging"] = [m for m in ("scipy.special", "scipy.stats", "scipy.optimize",
@@ -329,19 +357,23 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # neither do rdr-family, a small bound-scheduling sweep, a small reneging
     # simulation or an exponential rdr-renewal report; a small bound-reneging
     # figure loads scipy.special for the Gamma-box penalty and nothing more;
-    # the exponential report refuses g3, so it exits 2
+    # the exponential report refuses g3, so it exits 2. The simulation runs
+    # its two replications serially whatever --threads says, so no thread
+    # pool is loaded (scipy.special loads concurrent.futures, so this is
+    # read before the bound-reneging figure)
     out = str(tmp_path)
     runs = [
         ["rdr-family", "--output", out + "/fam.csv"],
         ["bound-scheduling", "--grid-points", "3", "--input",
          _write(tmp_path, "sched.json", SCHED), "--output", out + "/sched.csv"],
-        ["simulate", "--input", _write(tmp_path, "sim.json", RENEGING_SCENARIO),
-         "--output", out + "/sim.json"],
+        ["simulate", "--input", _write(tmp_path, "sim.json",
+                                       {**RENEGING_SCENARIO, "replications": 2}),
+         "--output", out + "/sim.json", "--threads", "4"],
         ["rdr-renewal", "--input", _write(tmp_path, "rnw.json", {"spec": EXPONENTIAL_SPEC}),
          "--output", out + "/rnw.json"],
     ]
     subprocess.run([sys.executable, "-c", IMPORT_GUARD, out, json.dumps(runs)],
                    env=_subprocess_env(), check=True)
     seen = json.loads((tmp_path / "seen.json").read_text())
-    assert seen == {"import": [], "codes": [0, 0, 0, 2, 0], "run": [],
+    assert seen == {"import": [], "codes": [0, 0, 0, 2, 0], "run": [], "futures": False,
                     "reneging": ["scipy.special"]}

@@ -96,13 +96,6 @@ def test_marks_fold_into_hazard_band_only():
     assert rdr_q3(Q3(0.5, 2.0), ref1, 2.0) == rdr_q3(Q3(0.5, 2.0), REF, 2.0)
 
 
-def test_mark_moment_integral_must_vanish_at_one():
-    with pytest.raises(ValueError):
-        MarkSpec(moment_integral=lambda al: al - 2.0)
-    ok = MarkSpec(moment_integral=lambda al: al - 1.0)
-    assert ok.c(3.0) == 2.0
-
-
 def test_family_validation():
     with pytest.raises(ValueError):
         Q2(a=1.2, b=2.0)

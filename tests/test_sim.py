@@ -216,6 +216,12 @@ def test_mc_rate_reference_sampling_mild_case():
     assert abs(est.point - want) < 3.0 * est.std_err + 1e-3
 
 
+def test_mc_rate_refuses_unknown_sampling():
+    for q in (PoissonProcess(1.2), RenewalProcess(exponential_spec(2.0))):
+        with pytest.raises(ValueError, match="sampling"):
+            mc_renyi_rate(q, 1.0, 1.5, horizon=1.0, reps=2, sampling="bogus")
+
+
 def test_mc_weight_diagnostics_match_numpy():
     def direct(log_y):
         w = np.exp(log_y)  # -inf log-weights are zero weights
