@@ -7,8 +7,8 @@ from .divergence import (AlphaCurve, FiniteDistribution, RenyiOrder, RrbInputs,
                          poisson_renyi_rate, relative_entropy_rate,
                          renyi_divergence, rrb_optimize, rrb_upper)
 from .families import (MarkSpec, PoissonReference, Q1, Q2, Q3, Q4,
-                       family_curve, family_from_dict, family_to_dict,
-                       rdr_q1, rdr_q2, rdr_q3, rdr_q4, reference_from_dict)
+                       family_curve, family_from_dict, rdr_q1, rdr_q2,
+                       rdr_q3, rdr_q4, reference_from_dict)
 from .optimize import INF, OptResult, ScalarObjective, maximize_1d, minimize_1d
 from .renewal import (BoundReport, HypothesisViolationError, RenewalSpec,
                       bound_report, exponential_exact_rdr, exponential_spec,
@@ -19,9 +19,8 @@ from .reneging import (CompositeFamily, GammaBox, RenegingInstance,
                        default_families, figure3_data, gamma_box_r2,
                        reference_decay, robust_reneging_bound, z_of_gamma)
 from .scheduling import (RobustBoundResult, SchedulingInstance, balanced_envelope,
-                         convexity_probe_m, f0_of_alpha, priority_order,
-                         reference_bound, robust_rs_bound, rs_duality_check,
-                         tilted_rates, w_bruteforce, w_of_gamma)
+                         f0_of_alpha, priority_order, reference_bound,
+                         robust_rs_bound, tilted_rates, w_of_gamma)
 from .sim import (CoxPiecewise, DeterministicCycle, DeterministicSchedule,
                   ExponentialPatience, FixedPatience, McEstimate,
                   PoissonProcess, RenewalProcess, SimRun, SystemState,

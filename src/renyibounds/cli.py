@@ -177,7 +177,7 @@ def _renewal_spec_from_dict(d: dict) -> rnw_mod.RenewalSpec:
                 return rnw_mod.table_spec(data[:, 0], data[:, 1])
             return rnw_mod.table_spec([float(x) for x in d["xs"]],
                                       [float(g) for g in d["gs"]])
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, OSError) as e:
         raise ConfigError(f"bad renewal spec {d!r}: {e}")
     raise ConfigError(f"unknown renewal spec kind {kind!r}")
 
@@ -193,7 +193,11 @@ def cmd_rdr_renewal(args) -> int:
                   for al in (alphas if isinstance(alphas, list) else [alphas])]
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad 'alpha' in config: {e}")
-    g3_override = bool(cfg.get("g3_override", False))
+    if not alphas:
+        raise ConfigError("'alpha' must name at least one order")
+    g3_override = cfg.get("g3_override", False)
+    if not isinstance(g3_override, bool):
+        raise ConfigError(f"'g3_override' must be true or false, not {g3_override!r}")
     reports, any_refused = [], False
     for al in alphas:
         rep = rnw_mod.bound_report(spec, al, g3_override=g3_override)

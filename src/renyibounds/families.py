@@ -177,18 +177,6 @@ def family_from_dict(d: dict) -> UncertaintyFamily:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def family_to_dict(fam: UncertaintyFamily) -> dict:
-    if isinstance(fam, Q1):
-        return {"family": "Q1", "u": fam.u, "alpha_anchor": fam.alpha_anchor}
-    if isinstance(fam, Q2):
-        return {"family": "Q2", "a": fam.a, "b": fam.b}
-    if isinstance(fam, Q3):
-        return {"family": "Q3", "a": fam.a, "b": fam.b}
-    if isinstance(fam, Q4):
-        return {"family": "Q4", "alpha0": fam.alpha0, "u": fam.u}
-    raise TypeError(f"unknown family {fam!r}")
-
-
 def reference_from_dict(d: dict) -> PoissonReference:
     mark = None
     if "mark" in d and d["mark"] is not None:

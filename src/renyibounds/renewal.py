@@ -110,14 +110,6 @@ class RenewalSpec:
         b = self.beta(0.0, s)
         return math.exp(b) if b < 700 else INF
 
-    def validate(self, atol: float = 1e-8):
-        """Quadrature sanity: density integrates to 1, gamma(0) = 1."""
-        total = math.exp(self.beta(0.0, 1.0))  # integral of g = e^{beta(0,1)}
-        if abs(total - 1.0) > atol:
-            raise ValueError(f"density integrates to {total}, not 1")
-        if abs(self.gamma_val(0.0) - 1.0) > atol:
-            raise ValueError("gamma(0) != 1")
-
 
 # -- constructors -----------------------------------------------------------
 

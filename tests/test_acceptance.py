@@ -22,10 +22,12 @@ from renyibounds.reneging import (RenegingInstance, RrbInputs, default_families,
 from renyibounds.divergence import rrb_upper
 from renyibounds.scheduling import (SchedulingInstance, rs_objective,
                                     reference_bound, robust_rs_bound,
-                                    tilted_rates, w_bruteforce, w_of_gamma)
+                                    tilted_rates, w_of_gamma)
 from renyibounds.sim import (CoxPiecewise, ExponentialPatience, PoissonProcess,
                              RenewalProcess, event_log_csv, mc_renyi_rate,
                              mc_tail_probability, simulate_reneging)
+
+from oracles import w_bruteforce
 
 FIG2_LEFT = ((1.0, 1.5, 1.8, 2.0, 2.0), (8.0, 10.0, 12.0, 9.0, 14.0),
              (0.3, 0.2, 0.2, 0.1, 0.2))

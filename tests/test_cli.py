@@ -101,6 +101,12 @@ MC_RATE_SCENARIO = {"model": "mc_renyi_rate", "q": {"kind": "poisson", "rate": 2
      {"reference": {"rate": 1.0, "mark": {"a_mark": 0.8, "b_mark": 1.5}},
       "families": [{"family": "Q3", "a": 0.5, "b": 2.0}]}, "hazard-band family only"),
     (["rdr-renewal", "--input", "cfg.json"], {"spec": 3}, "renewal spec must be a JSON object"),
+    (["rdr-renewal", "--input", "cfg.json", "--output", "rep.json"],
+     {"spec": EXPONENTIAL_SPEC, "g3_override": "false"}, "'g3_override' must be true or false"),
+    (["rdr-renewal", "--input", "cfg.json", "--output", "rep.json"],
+     {"spec": {"kind": "table", "path": "."}}, "bad renewal spec"),
+    (["rdr-renewal", "--input", "cfg.json", "--output", "rep.json"],
+     {"spec": EXPONENTIAL_SPEC, "alpha": []}, "'alpha' must name at least one order"),
     (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "arrival": 3},
      "process spec must be a JSON object"),
     (["simulate", "--input", "cfg.json"], {**RENEGING_SCENARIO, "patience": [1.0]},
@@ -129,7 +135,8 @@ MC_RATE_SCENARIO = {"model": "mc_renyi_rate", "q": {"kind": "poisson", "rate": 2
         "scheduling-no-delta", "scheduling-beta-min", "family-alpha-min", "family-without-b",
         "renewal-alpha", "simulate-replications", "reneging-zero-replications",
         "mc-tail-zero-replications", "event-log-several-replications", "families-not-a-list",
-        "marked-reference-q3", "renewal-spec-not-an-object", "arrival-not-an-object",
+        "marked-reference-q3", "renewal-spec-not-an-object", "renewal-g3-override-string",
+        "renewal-table-path-is-a-directory", "renewal-no-alpha", "arrival-not-an-object",
         "patience-not-an-object", "service-not-an-object", "service-entry-not-an-object",
         "service-list-length", "mc-rate-q-not-an-object", "mc-rate-spec-not-an-object",
         "mc-rate-unknown-sampling", "multiclass-priority-not-a-permutation", "unknown-flag",
@@ -139,7 +146,9 @@ def test_missing_input_exits_one(tmp_path, monkeypatch, capsys, argv, cfg, messa
     if cfg is not None:
         (tmp_path / "cfg.json").write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     assert main(argv) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.splitlines()[-1].startswith("error: ")
     # a refused scenario writes nothing
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if cfg is not None else [])
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no function outside a class takes a parameter it never reads, no module
-imports scipy when it is itself imported, and the tests run against the
-package in this checkout's src/."""
+no function outside a class takes a parameter it never reads, every
+module-level function has a caller in the package or is one of the paper's
+formulas, no module imports scipy when it is itself imported, and the tests
+run against the package in this checkout's src/."""
 
 import ast
 import pathlib
@@ -10,6 +11,12 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "renyibounds"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Formulas of the paper that a user calls and no command needs: the Renyi
+# divergence of finite distributions, the Jackson-network composition of
+# divergence rates, the phase-type envelope bound, the exact exponential
+# renewal rate and the balanced hazard envelope.
+PAPER_FORMULAS = {"renyi_divergence", "jackson_compose", "phase_type_envelope_bound",
+                  "exponential_exact_rdr", "balanced_envelope"}
 
 
 def unused_imports(source: str):
@@ -65,6 +72,27 @@ def unused_parameters(source: str):
     return found
 
 
+def uncalled_functions(sources):
+    """(module, function) of every module-level function that no name or
+    attribute of the package refers to outside the function's own body.
+    sources maps module file names to their text; __init__.py only
+    re-exports, so its functions are not checked and its imports are no
+    callers."""
+    defs, refs = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = (module, top.name) if isinstance(top, ast.FunctionDef) else None
+            if owner and module != "__init__.py":
+                defs.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((node.attr, owner))
+    return sorted((module, name) for module, name in defs
+                  if not any(ref == name and owner != (module, name) for ref, owner in refs))
+
+
 def test_detector_flags_an_unused_import():
     src = "import os\nfrom typing import List, Tuple\nx: Tuple[int] = (os.sep,)\n"
     assert unused_imports(src) == [(2, "List")]
@@ -107,6 +135,20 @@ def test_detector_flags_an_unused_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def test_detector_flags_an_uncalled_function():
+    sources = {"a.py": ("def used():\n    return 1\n"
+                        "def recursive(n):\n    return recursive(n - 1)\n"
+                        "def unused():\n    return used()\n"),
+               "b.py": "import a\nX = a.unused\ndef lonely():\n    return 0\n",
+               "__init__.py": "from .b import lonely\ndef shim():\n    return 0\n"}
+    assert uncalled_functions(sources) == [("a.py", "recursive"), ("b.py", "lonely")]
+
+
+def test_every_function_has_a_package_caller():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [f for f in uncalled_functions(sources) if f[1] not in PAPER_FORMULAS] == []
 
 
 def test_tests_import_the_package_of_this_checkout():

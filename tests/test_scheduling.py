@@ -8,11 +8,11 @@ from renyibounds.divergence import (FiniteDistribution, poisson_renyi_rate,
                                     relative_entropy_rate, renyi_divergence)
 from renyibounds.optimize import ScalarObjective, minimize_1d
 from renyibounds.scheduling import (SchedulingInstance, balanced_envelope,
-                                    convexity_probe_m, f0_of_alpha,
-                                    priority_order, rs_duality_check,
-                                    rs_objective, reference_bound,
-                                    robust_rs_bound, tilted_rates,
-                                    w_bruteforce, w_of_gamma)
+                                    f0_of_alpha, priority_order, rs_objective,
+                                    reference_bound, robust_rs_bound,
+                                    tilted_rates, w_of_gamma)
+
+from oracles import convexity_probe_m, rs_duality_check, w_bruteforce
 
 LEFT = dict(arrival_rates=(1.0, 1.5, 1.8, 2.0, 2.0),
             service_rates=(8.0, 10.0, 12.0, 9.0, 14.0),
