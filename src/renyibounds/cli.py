@@ -127,9 +127,8 @@ def cmd_rdr_family(args) -> int:
         ref = fam_mod.reference_from_dict(cfg.get("reference", {"rate": 1.0}))
     except (AttributeError, ValueError, TypeError) as e:
         raise ConfigError(f"bad reference: {e}")
-    alpha_max = args.alpha_max if args.alpha_max is not None else _cfg_value(cfg, "alpha_max", 4.0)
-    grid_points = (args.grid_points if args.grid_points is not None
-                   else _cfg_value(cfg, "grid_points", 60, int))
+    alpha_max = _cfg_value(cfg, "alpha_max", 4.0)
+    grid_points = _cfg_value(cfg, "grid_points", 60, int)
     alpha_min = _cfg_value(cfg, "alpha_min", 1.01)
     if not (1.0 < alpha_min < alpha_max) or grid_points < 2:
         raise ConfigError("need 1 < alpha_min < alpha_max and at least 2 grid points")
@@ -233,8 +232,7 @@ def cmd_bound_scheduling(args) -> int:
     if curve not in ("reference", "Q2", "Q3"):
         raise ConfigError("curve must be 'reference', 'Q2' or 'Q3'")
     delta = _cfg_value(cfg, "delta") if curve != "reference" else None
-    grid_points = (args.grid_points if args.grid_points is not None
-                   else _cfg_value(cfg, "grid_points", 60, int))
+    grid_points = _cfg_value(cfg, "grid_points", 60, int)
     beta_lo = _cfg_value(cfg, "beta_min", 0.1)
     beta_hi = _cfg_value(cfg, "beta_max", 15.0)
     if not (0 < beta_lo < beta_hi) or grid_points < 2:
@@ -264,16 +262,14 @@ def cmd_bound_reneging(args) -> int:
         families = ren_mod.default_families(delta=_cfg_value(cfg, "delta", 0.3))
     except ValueError as e:
         raise ConfigError(str(e))
-    grid_points = (args.grid_points if args.grid_points is not None
-                   else _cfg_value(cfg, "grid_points", 60, int))
+    grid_points = _cfg_value(cfg, "grid_points", 60, int)
     g0 = inst.gamma0
     g_lo = _cfg_value(cfg, "gamma_min", g0)
     g_hi = _cfg_value(cfg, "gamma_max", g0 + 3.0)
     if not (g0 - 1e-12 <= g_lo < g_hi) or grid_points < 2:
         raise ConfigError("need gamma0 <= gamma_min < gamma_max and at least 2 grid points")
     rows = ren_mod.figure3_data(inst, families,
-                                gamma_grid=np.linspace(g_lo, g_hi, grid_points),
-                                bare_bracket=args.bare_bracket)
+                                gamma_grid=np.linspace(g_lo, g_hi, grid_points))
     lines = [",".join(ren_mod.FIG3_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in ren_mod.FIG3_COLUMNS))
@@ -348,12 +344,12 @@ def _run_reneging_scenario(cfg: dict, seed: int, assert_mode: bool) -> dict:
                 for rep in range(reps)]
     except ValueError as e:
         raise ConfigError(f"bad reneging scenario: {e}")
-    rates = [r.reneging_count / (horizon * n) for r in runs]
+    rates = [r.state.reneged / (horizon * n) for r in runs]
     result = {
         "model": "reneging",
         "reneging_rate": float(np.mean(rates)),
-        "reneging_count": int(sum(r.reneging_count for r in runs)),
-        "arrivals": int(sum(r.arrival_count for r in runs)),
+        "reneging_count": int(sum(r.state.reneged for r in runs)),
+        "arrivals": int(sum(r.state.arrived for r in runs)),
         "departures": int(sum(r.state.departed for r in runs)),
         "replications": reps,
         "seed": seed,
@@ -463,35 +459,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="renyibounds",
         description="Divergence rates, robust queueing bounds, and simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {
-        "--seed": dict(type=int, default=None),
-        "--grid-points": dict(type=int, default=None, dest="grid_points"),
-        "--alpha-max": dict(type=float, default=None, dest="alpha_max"),
-        "--assert": dict(action="store_true", dest="assert_mode",
-                         help="enable simulator invariant assertions"),
-        "--bare-bracket": dict(action="store_true", dest="bare_bracket",
-                               help="bare-bracket normalization of the Gamma-box penalty"),
-    }
     specs = [
-        ("rdr-family", cmd_rdr_family, "CSV sweep of family divergence rates over alpha",
-         ("--grid-points", "--alpha-max")),
-        ("rdr-renewal", cmd_rdr_renewal, "JSON bound report for a renewal density", ()),
+        ("rdr-family", cmd_rdr_family, "CSV sweep of family divergence rates over alpha"),
+        ("rdr-renewal", cmd_rdr_renewal, "JSON bound report for a renewal density"),
         ("bound-scheduling", cmd_bound_scheduling,
-         "CSV of robust risk-sensitive scheduling bounds over beta", ("--grid-points",)),
-        ("bound-reneging", cmd_bound_reneging, "CSV of robust reneging decay bounds over gamma",
-         ("--grid-points", "--bare-bracket")),
-        ("simulate", cmd_simulate, "run a simulation scenario, JSON result",
-         ("--seed", "--assert")),
+         "CSV of robust risk-sensitive scheduling bounds over beta"),
+        ("bound-reneging", cmd_bound_reneging, "CSV of robust reneging decay bounds over gamma"),
+        ("simulate", cmd_simulate, "run a simulation scenario, JSON result"),
     ]
-    for name, fn, help_text, own_flags in specs:
+    for name, fn, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="JSON config / scenario file")
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and checked (at least 1); no command reads it")
-        for flag in own_flags:
-            p.add_argument(flag, **flags[flag])
         p.set_defaults(fn=fn)
+    simulate = sub.choices["simulate"]
+    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--assert", action="store_true", dest="assert_mode",
+                          help="enable simulator invariant assertions")
     return parser
 
 

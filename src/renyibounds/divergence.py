@@ -212,27 +212,19 @@ class RrbInputs:
 
     ref_log_prob: float
     rdr_curve: AlphaCurve
-    direction: str = "upper"
 
     def __post_init__(self):
         if self.ref_log_prob > 1e-12:
             raise ValueError("ref_log_prob must be <= 0")
-        if self.direction not in ("upper", "lower"):
-            raise ValueError("direction must be 'upper' or 'lower'")
 
 
 def rrb_upper(inputs: RrbInputs, a: OrderLike) -> float:
-    """One-alpha robust bound on the family's log-probability.
-
-    upper: ((alpha-1)/alpha) L + (alpha-1) r(alpha)
-    lower: (alpha/(alpha-1)) L - alpha r(alpha)
-    """
+    """One-alpha robust upper bound on the family's log-probability:
+    ((alpha-1)/alpha) L + (alpha-1) r(alpha)."""
     al = as_order(a).alpha
     r = inputs.rdr_curve(al)
     L = inputs.ref_log_prob
-    if inputs.direction == "upper":
-        return (al - 1.0) / al * L + (al - 1.0) * r
-    return al / (al - 1.0) * L - al * r
+    return (al - 1.0) / al * L + (al - 1.0) * r
 
 
 @dataclass
@@ -244,21 +236,15 @@ class RrbResult:
 
 
 def rrb_optimize(inputs: RrbInputs) -> RrbResult:
-    """Best bound over the curve's alpha domain.
-
-    Upper bounds are minimized, lower bounds maximized, on s = log(alpha-1)
-    (or a logistic transform for bounded domains).
-    """
+    """Best bound over the curve's alpha domain, minimized on
+    s = log(alpha-1) (or a logistic transform for bounded domains)."""
     curve = inputs.rdr_curve
     if curve.anchor is not None:
         al = curve.anchor
         return RrbResult(al, rrb_upper(inputs, al), True, False)
-    obj = ScalarObjective(
-        lambda al: rrb_upper(inputs, al) * (1.0 if inputs.direction == "upper" else -1.0),
-        lo=1.0, hi=curve.alpha_max)
-    res = minimize_1d(obj, tol=1e-8)
-    value = res.value if inputs.direction == "upper" else -res.value
-    return RrbResult(res.arg, value, res.converged, res.boundary)
+    res = minimize_1d(ScalarObjective(lambda al: rrb_upper(inputs, al),
+                                      lo=1.0, hi=curve.alpha_max), tol=1e-8)
+    return RrbResult(res.arg, res.value, res.converged, res.boundary)
 
 
 def jackson_compose(gamma_ref: float, per_primitive_rdrs: Sequence[AlphaCurve]) -> RrbResult:

@@ -77,7 +77,7 @@ def _safe(fn: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def _golden(f: Callable[[float], float], a: float, b: float, tol: float):
-    """Golden-section minimization of f on [a, b]; returns (arg, value, iters)."""
+    """Golden-section minimization of f on [a, b]; returns (arg, value)."""
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = f(c), f(d)
@@ -93,7 +93,7 @@ def _golden(f: Callable[[float], float], a: float, b: float, tol: float):
             fd = f(d)
         it += 1
     s = c if fc <= fd else d
-    return s, min(fc, fd), it
+    return s, min(fc, fd)
 
 
 def minimize_1d(
@@ -118,18 +118,23 @@ def minimize_1d(
     """
     to_x = _transform(obj.lo, obj.hi)
     raw = _safe(obj.fn)
-    f = lambda s: raw(to_x(s))
+    evals = 0
+
+    def f(s: float) -> float:
+        nonlocal evals
+        evals += 1
+        return raw(to_x(s))
 
     grid = np.linspace(s_lo, s_hi, coarse)
     if obj.vectorized:
         v = np.asarray(obj.fn(np.array([to_x(s) for s in grid])), dtype=float)
         vals = np.where(np.isnan(v), INF, v).tolist()
+        evals += coarse
     else:
         vals = [f(s) for s in grid]
     if all(v == INF for v in vals):
         raise ValueError("objective is not finite anywhere in the probed domain")
     i = int(np.argmin(vals))
-    evals = coarse
 
     step = grid[1] - grid[0]
     boundary = False
@@ -141,7 +146,6 @@ def minimize_1d(
         while expansions < 200:
             s_next = s_best + direction * step
             v_next = f(s_next)
-            evals += 1
             if v_next >= v_best:
                 break
             s_best, v_best = s_next, v_next
@@ -159,8 +163,7 @@ def minimize_1d(
     else:
         a, b = grid[i - 1], grid[i + 1]
 
-    s_star, v_star, it = _golden(f, a, b, tol)
-    evals += 2 * it + 2
+    s_star, v_star = _golden(f, a, b, tol)
     # three-point probe: certify local optimality at the working tolerance
     delta = max(10.0 * tol, 1e-7)
     ok = f(s_star) <= min(f(s_star - delta), f(s_star + delta)) + 1e-12 + abs(v_star) * 1e-9

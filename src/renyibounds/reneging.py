@@ -103,7 +103,7 @@ class CompositeFamily:
         return self.arrival_envelope[1] * self.patience_envelope[1]
 
 
-def gamma_box_r2(box: GammaBox, a: OrderLike, bare_bracket: bool = False) -> float:
+def gamma_box_r2(box: GammaBox, a: OrderLike) -> float:
     """Supremum of the Gamma closed-form rate over the (k, rho) rectangle,
     which lies at one of its four corners: one array call on the 2 x 2 corners.
 
@@ -125,26 +125,20 @@ def gamma_box_r2(box: GammaBox, a: OrderLike, bare_bracket: bool = False) -> flo
     v = alpha u on the left, both sides are integrals of v e^{-tv} times
     c/(e^{cv} - 1) (left, c = 1/alpha < 1) and 1/(e^v - 1) (right), and
     y/(e^y - 1) is decreasing, so c v/(e^{cv} - 1) > v/(e^v - 1) for v > 0.
-
-    With bare_bracket the bare bracket (the closed form times alpha(alpha-1))
-    is returned instead of the divergence-rate normalization.
     """
     al = as_order(a).alpha
     k = np.array([box.k_lo, box.k_hi])
     rho = np.array([[box.rho_lo], [box.rho_hi]])
-    best = float(np.max(gamma_closed_form(k, rho, al)))
-    return best * al * (al - 1.0) if bare_bracket else best
+    return float(np.max(gamma_closed_form(k, rho, al)))
 
 
-def _service_curve(fam: ServiceFamily, bare_bracket: bool) -> AlphaCurve:
-    ref = PoissonReference(rate=1.0)
+def _service_curve(fam: ServiceFamily) -> AlphaCurve:
     if isinstance(fam, GammaBox):
-        return AlphaCurve(lambda al: gamma_box_r2(fam, al, bare_bracket=bare_bracket))
-    return family_curve(fam, ref)
+        return AlphaCurve(lambda al: gamma_box_r2(fam, al))
+    return family_curve(fam, PoissonReference(rate=1.0))
 
 
-def robust_bound_curve(inst: RenegingInstance, fam: CompositeFamily,
-                       bare_bracket: bool = False) -> Tuple[float, AlphaCurve]:
+def robust_bound_curve(inst: RenegingInstance, fam: CompositeFamily) -> Tuple[float, AlphaCurve]:
     """(reference log-probability, summed divergence-rate curve) after
     normalizing rates to mu = 1."""
     scale = inst.mu
@@ -157,12 +151,11 @@ def robust_bound_curve(inst: RenegingInstance, fam: CompositeFamily,
         return max(poisson_renyi_rate(a_hat, al), poisson_renyi_rate(b_hat, al)) * lam
 
     r1_curve = AlphaCurve(r1)
-    total = r1_curve + _service_curve(fam.service_family, bare_bracket)
+    total = r1_curve + _service_curve(fam.service_family)
     return -c_ref, total
 
 
-def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily,
-                          bare_bracket: bool = False) -> Tuple[float, float]:
+def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily) -> Tuple[float, float]:
     """Best single-alpha bound on the normalized log-probability of exceeding
     reneging rate gamma under the composite family. Returns (bound, alpha*).
 
@@ -170,7 +163,7 @@ def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily,
     inf over alpha of -((alpha-1)/alpha) C(gamma) + (alpha-1)(r1 + r2),
     multiplied back by mu for general service rates.
     """
-    ref_log_prob, total = robust_bound_curve(inst, fam, bare_bracket)
+    ref_log_prob, total = robust_bound_curve(inst, fam)
     res = rrb_optimize(RrbInputs(ref_log_prob, total))
     return res.bound * inst.mu, res.alpha_star
 
@@ -203,8 +196,7 @@ def default_families(delta: float = 0.3) -> Dict[str, CompositeFamily]:
 
 
 def figure3_data(inst: RenegingInstance, families: Optional[Dict[str, CompositeFamily]] = None,
-                 gamma_grid: Optional[Sequence[float]] = None,
-                 bare_bracket: bool = False) -> List[Dict[str, float]]:
+                 gamma_grid: Optional[Sequence[float]] = None) -> List[Dict[str, float]]:
     """Rows of the reneging figure: reference decay -C(gamma) and the robust
     bound of each family, per gamma."""
     if families is None:
@@ -222,8 +214,7 @@ def figure3_data(inst: RenegingInstance, families: Optional[Dict[str, CompositeF
                 row[f"bound_{name}"] = math.nan
                 row[f"alpha_star_{name}"] = math.nan
                 continue
-            bound, a_star = robust_reneging_bound(at, families[name],
-                                                  bare_bracket=bare_bracket)
+            bound, a_star = robust_reneging_bound(at, families[name])
             row[f"bound_{name}"] = bound
             row[f"alpha_star_{name}"] = a_star
         rows.append(row)

@@ -263,8 +263,6 @@ class SystemState:
 class SimRun:
     log: List[EventRecord]
     state: SystemState
-    reneging_count: int
-    arrival_count: int
 
 
 _DEPART, _ARRIVE, _EXPIRE = 0, 1, 2
@@ -389,8 +387,7 @@ def simulate_reneging(n: int, horizon: float, arrival: ArrivalSpec,
         if assert_mode:
             state.check()
 
-    return SimRun(log=log, state=state, reneging_count=state.reneged,
-                  arrival_count=state.arrived)
+    return SimRun(log=log, state=state)
 
 
 def event_log_csv(log: Sequence[EventRecord]) -> str:
@@ -626,7 +623,7 @@ def mc_tail_probability(n: int, horizon: float, gamma: float, lam: float,
             patience=ExponentialPatience(theta),
             services=PoissonProcess(mu),
             seed=seed, rep=r)
-        if run.reneging_count / (horizon * n) > gamma:
+        if run.state.reneged / (horizon * n) > gamma:
             hits += 1
     scale = horizon * n
     if hits == 0:

@@ -226,7 +226,7 @@ def test_criterion_10_simulator_physics():
             n=50, horizon=200.0, arrival=PoissonProcess(2.0 * 50),
             patience=ExponentialPatience(1.0), services=PoissonProcess(1.0),
             seed=0, rep=rep, initial_customers=100)
-        rates.append(run.reneging_count / (200.0 * 50))
+        rates.append(run.state.reneged / (200.0 * 50))
     assert abs(float(np.mean(rates)) - 1.0) < 0.05
 
     rng = np.random.default_rng(31)

@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -128,7 +130,8 @@ MC_RATE_SCENARIO = {"model": "mc_renyi_rate", "q": {"kind": "poisson", "rate": 2
     (["simulate", "--input", "cfg.json"], {**MULTICLASS_SCENARIO, "priority": [0, 0]},
      "priority must be a permutation of the classes"),
     (["bound-reneging", "--seed", "3"], None, "unrecognized arguments: --seed 3"),
-    (["rdr-family", "--grid-points", "x"], None, "invalid int value"),
+    (["simulate", "--seed", "x"], None, "invalid int value"),
+    (["bound-reneging", "--grid-points", "2"], None, "unrecognized arguments: --grid-points 2"),
     (["nope"], None, "invalid choice"),
     ([], None, "required"),
 ], ids=["missing-file", "bad-json", "not-an-object", "reneging-grid-points",
@@ -140,7 +143,7 @@ MC_RATE_SCENARIO = {"model": "mc_renyi_rate", "q": {"kind": "poisson", "rate": 2
         "patience-not-an-object", "service-not-an-object", "service-entry-not-an-object",
         "service-list-length", "mc-rate-q-not-an-object", "mc-rate-spec-not-an-object",
         "mc-rate-unknown-sampling", "multiclass-priority-not-a-permutation", "unknown-flag",
-        "bad-flag-value", "unknown-command", "no-command"])
+        "bad-flag-value", "removed-flag", "unknown-command", "no-command"])
 def test_missing_input_exits_one(tmp_path, monkeypatch, capsys, argv, cfg, message):
     monkeypatch.chdir(tmp_path)
     if cfg is not None:
@@ -187,10 +190,20 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound-reneging", "--help"])
     assert exc.value.code == 0
-    assert "--bare-bracket" in capsys.readouterr().out
+    assert "--input" in capsys.readouterr().out
 
 
 SUBCOMMANDS = _build_parser()._subparsers._group_actions[0].choices
+
+
+def test_readme_names_every_flag():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    accepted = {opt for p in (_build_parser(), *SUBCOMMANDS.values())
+                for action in p._actions for opt in action.option_strings
+                if opt.startswith("--")}
+    assert named == accepted
 
 
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
@@ -352,7 +365,7 @@ seen = {"import": scipy_modules()}
 seen["codes"] = [cli.main(argv) for argv in runs]
 seen["run"] = scipy_modules()
 seen["futures"] = "concurrent.futures" in sys.modules
-seen["codes"].append(cli.main(["bound-reneging", "--grid-points", "2",
+seen["codes"].append(cli.main(["bound-reneging", "--input", out + "/ren.json",
                                "--output", out + "/ren.csv"]))
 seen["reneging"] = [m for m in ("scipy.special", "scipy.stats", "scipy.optimize",
                                 "scipy.integrate") if m in sys.modules]
@@ -373,14 +386,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
     out = str(tmp_path)
     runs = [
         ["rdr-family", "--output", out + "/fam.csv"],
-        ["bound-scheduling", "--grid-points", "3", "--input",
-         _write(tmp_path, "sched.json", SCHED), "--output", out + "/sched.csv"],
+        ["bound-scheduling", "--input",
+         _write(tmp_path, "sched.json", {**SCHED, "grid_points": 3}),
+         "--output", out + "/sched.csv"],
         ["simulate", "--input", _write(tmp_path, "sim.json",
                                        {**RENEGING_SCENARIO, "replications": 2}),
          "--output", out + "/sim.json", "--threads", "4"],
         ["rdr-renewal", "--input", _write(tmp_path, "rnw.json", {"spec": EXPONENTIAL_SPEC}),
          "--output", out + "/rnw.json"],
     ]
+    _write(tmp_path, "ren.json", {"grid_points": 2})
     subprocess.run([sys.executable, "-c", IMPORT_GUARD, out, json.dumps(runs)],
                    env=_subprocess_env(), check=True)
     seen = json.loads((tmp_path / "seen.json").read_text())

@@ -161,8 +161,6 @@ def test_rrb_upper_formulas():
     inputs = RrbInputs(-2.0, AlphaCurve.constant(0.3))
     al = 2.0
     assert abs(rrb_upper(inputs, al) - ((al - 1) / al * -2.0 + (al - 1) * 0.3)) < 1e-14
-    low = RrbInputs(-2.0, AlphaCurve.constant(0.3), direction="lower")
-    assert abs(rrb_upper(low, al) - (al / (al - 1) * -2.0 - al * 0.3)) < 1e-14
 
 
 def test_rrb_optimize_matches_grid_scan():

@@ -79,3 +79,29 @@ def test_vectorized_scan_not_finite_anywhere_raises():
                           lo=0.0, vectorized=True)
     with pytest.raises(ValueError, match="not finite anywhere"):
         minimize_1d(obj)
+
+
+
+def _barrier(x):
+    return -np.log(x) - np.log(1.0 - x)
+
+
+@pytest.mark.parametrize("fn, lo, hi, vectorized, coarse, arg", [
+    (lambda x: (x - 2.0) ** 2, -INF, INF, False, 121, 2.0),
+    (_barrier, 0.0, 1.0, False, 81, 0.5),
+    (_barrier, 0.0, 1.0, True, 121, 0.5),
+    # on R the scan covers x in [-30, 30], so x = 100 is reached by bracket expansion
+    (lambda x: (x - 100.0) ** 2, -INF, INF, False, 121, 100.0),
+], ids=["unbounded", "bounded", "vectorized", "bracket-expansion"])
+def test_evaluations_count_every_objective_point(fn, lo, hi, vectorized, coarse, arg):
+    points = []
+
+    def counted(x):
+        points.append(np.size(x))
+        return fn(x)
+
+    res = minimize_1d(ScalarObjective(counted, lo, hi, vectorized), coarse=coarse)
+    assert res.converged and abs(res.arg - arg) < 1e-6
+    assert res.evaluations == sum(points)
+    if vectorized:
+        assert points[0] == coarse and set(points[1:]) == {1}

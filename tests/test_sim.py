@@ -86,7 +86,7 @@ def test_single_customer_served():
     kinds = [(k, cid, sid) for _, k, cid, sid in run.log]
     assert kinds == [("arrival", 0, -1), ("routing", 0, 0), ("departure", 0, 0)]
     assert run.log[-1][0] == 1.5
-    assert run.reneging_count == 0
+    assert run.state.reneged == 0
     assert run.state.departed == 1
 
 
@@ -95,7 +95,7 @@ def test_forced_reneging():
     run = simulate_reneging(
         n=1, horizon=2.0, arrival=DeterministicSchedule((0.0, 0.1)),
         patience=FixedPatience((0.5,)), services=DeterministicCycle((1.0,)))
-    assert run.reneging_count == 1
+    assert run.state.reneged == 1
     assert run.state.departed == 1
     renege_events = [(t, cid) for t, k, cid, _ in run.log if k == "reneging"]
     assert renege_events == [(0.6, 1)]
@@ -107,7 +107,7 @@ def test_routing_beats_reneging_at_shared_instant():
         n=1, horizon=3.0, arrival=DeterministicSchedule((0.0, 0.0)),
         patience=FixedPatience((1.0,)), services=DeterministicCycle((1.0,)),
         assert_mode=True)
-    assert run.reneging_count == 0
+    assert run.state.reneged == 0
     assert run.state.departed == 2
     routings = [(t, cid, sid) for t, k, cid, sid in run.log if k == "routing"]
     assert routings == [(0.0, 0, 0), (1.0, 1, 0)]
@@ -148,7 +148,7 @@ def test_invariants_with_engineered_event_collisions():
             patience=FixedPatience((1.0, 2.0, 1.0)),
             services=DeterministicCycle((1.0, 2.0)),
             seed=seed, assert_mode=True)
-        assert run.arrival_count == 25
+        assert run.state.arrived == 25
 
 
 def test_identical_seeds_give_identical_logs():
@@ -167,7 +167,7 @@ def test_reneging_rate_concentrates_when_overloaded():
     run = simulate_reneging(
         n=20, horizon=100.0, arrival=PoissonProcess(2.0 * 20),
         patience=ExponentialPatience(1.0), services=PoissonProcess(1.0), seed=3)
-    rate = run.reneging_count / (100.0 * 20)
+    rate = run.state.reneged / (100.0 * 20)
     assert abs(rate - 1.0) < 0.08
 
 
