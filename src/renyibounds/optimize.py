@@ -77,7 +77,8 @@ def _safe(fn: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def _golden(f: Callable[[float], float], a: float, b: float, tol: float):
-    """Golden-section minimization of f on [a, b]; returns (arg, value)."""
+    """Golden-section minimization of f on [a, b]; returns (arg, value),
+    where value is f(arg) as already evaluated."""
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
     fc, fd = f(c), f(d)
@@ -164,9 +165,10 @@ def minimize_1d(
         a, b = grid[i - 1], grid[i + 1]
 
     s_star, v_star = _golden(f, a, b, tol)
-    # three-point probe: certify local optimality at the working tolerance
+    # three-point probe: certify local optimality at the working tolerance;
+    # v_star is f(s_star), so only the two neighbours are evaluated
     delta = max(10.0 * tol, 1e-7)
-    ok = f(s_star) <= min(f(s_star - delta), f(s_star + delta)) + 1e-12 + abs(v_star) * 1e-9
+    ok = v_star <= min(f(s_star - delta), f(s_star + delta)) + 1e-12 + abs(v_star) * 1e-9
     x_star = to_x(s_star)
     return OptResult(x_star, v_star, evals, converged=ok and not boundary, boundary=boundary)
 

@@ -45,14 +45,16 @@ class RenewalSpec:
     log_density must be vectorized and return -inf where the density
     vanishes. Closed-form beta, hazard machinery and the inverse CDF are
     optional; beta falls back to quadrature on a 16001-point grid on
-    [0, grid_max], and gamma is always e^{beta(0, s)}.
+    [0, grid_max], and gamma is always e^{beta(0, s)}. A closed form takes
+    the order first: beta_closed(l2) returns lambda1 -> beta(lambda1, l2),
+    which accepts a float or a 1-D array.
     """
 
     name: str
     log_density: Callable[[np.ndarray], np.ndarray]
     h_bar: float
     support_full: bool
-    beta_closed: Optional[Callable[[float, float], float]] = None
+    beta_closed: Optional[Callable[[float], Callable]] = None
     hazard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cum_hazard: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ppf: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -73,7 +75,7 @@ class RenewalSpec:
     def beta(self, l1: float, l2: float) -> float:
         """log integral of exp(l1*y + l2*H(y)) against the unit exponential."""
         if self.beta_closed is not None:
-            return self.beta_closed(l1, l2)
+            return self.beta_closed(l2)(l1)
         if l2 < 0.0 and not self.support_full:
             return INF
         x, lg = self._grid
@@ -104,6 +106,19 @@ class RenewalSpec:
             return -INF
         return m + math.log(integral)
 
+    def beta_at(self, l2: float) -> Callable:
+        """lambda1 -> beta(lambda1, l2) for a float or a 1-D array of
+        lambda1. Quadrature evaluates an array one point at a time."""
+        if self.beta_closed is not None:
+            return self.beta_closed(l2)
+
+        def beta_l1(l1):
+            if isinstance(l1, np.ndarray):
+                return np.array([self.beta(x, l2) for x in l1.tolist()])
+            return self.beta(l1, l2)
+
+        return beta_l1
+
     def gamma_val(self, s: float) -> float:
         """gamma(s) = integral of exp(s H(y)) against the unit exponential,
         e^{beta(0, s)}; inf where beta(0, s) is inf or e^{beta} overflows."""
@@ -123,11 +138,18 @@ def exponential_spec(rho: float) -> RenewalSpec:
         out = np.where(x >= 0, lr - rho * x, -INF)
         return out
 
-    def beta_closed(l1, l2):
-        d = 1.0 - l1 + l2 * (rho - 1.0)
-        if d <= 0:
-            return INF
-        return l2 * lr - math.log(d)
+    def beta_closed(l2):
+        shift, head = l2 * (rho - 1.0), l2 * lr
+
+        def beta_l1(l1):
+            d = 1.0 - l1 + shift
+            if isinstance(d, np.ndarray):
+                return np.array([INF if x <= 0 else head - math.log(x) for x in d.tolist()])
+            if d <= 0:
+                return INF
+            return head - math.log(d)
+
+        return beta_l1
 
     return RenewalSpec(
         name=f"exp(rho={rho})",
@@ -156,12 +178,21 @@ def gamma_spec(k: float, rho: float) -> RenewalSpec:
                            lnorm if k == 1.0 else -INF)
         return out
 
-    def beta_closed(l1, l2):
+    def beta_closed(l2):
         s2 = 1.0 + l2 * (k - 1.0)
-        d = 1.0 + l2 * (rho - 1.0) - l1
-        if s2 <= 0 or d <= 0:
-            return INF
-        return l2 * lnorm + gammaln(s2) - s2 * math.log(d)
+        base = 1.0 + l2 * (rho - 1.0)
+        # beta is inf where s2 <= 0, and inf minus a finite s2 log d stays inf
+        head = l2 * lnorm + gammaln(s2) if s2 > 0 else INF
+
+        def beta_l1(l1):
+            d = base - l1
+            if isinstance(d, np.ndarray):
+                return np.array([INF if x <= 0 else head - s2 * math.log(x) for x in d.tolist()])
+            if d <= 0:
+                return INF
+            return head - s2 * math.log(d)
+
+        return beta_l1
 
     if rho > 1.0:
         if k == 1.0:
@@ -375,22 +406,25 @@ def _check_beta_near_origin(spec: RenewalSpec):
             raise HypothesisViolationError("beta not finite near the origin")
 
 
-def _dual_inner(spec: RenewalSpec, al: float, theta: float, restrict_nonpos: bool) -> float:
+def _dual_inner(beta_l1: Callable, theta: float, restrict_nonpos: bool) -> float:
     """inf over lambda1 of (lambda1)^- + theta beta(lambda1, alpha), the
-    single-variable dual of the constrained conjugate value. With
-    restrict_nonpos the infimum runs over lambda1 <= 0 (the g2 case);
-    otherwise over all of R (the g3 case)."""
+    single-variable dual of the constrained conjugate value, with beta_l1 =
+    spec.beta_at(alpha). With restrict_nonpos the infimum runs over
+    lambda1 <= 0 (the g2 case); otherwise over all of R (the g3 case). The
+    coarse scan of lambda1 goes to beta_l1 as one array."""
 
-    def obj(l1: float) -> float:
-        b = spec.beta(l1, al)
-        if not np.isfinite(b):
+    def obj(l1):
+        b = beta_l1(l1)
+        if isinstance(b, np.ndarray):
+            return np.where(np.isfinite(b), -np.minimum(l1, 0.0) + theta * b, INF)
+        if not math.isfinite(b):
             return INF
         return -min(l1, 0.0) + theta * b
 
     hi = 0.0 if restrict_nonpos else INF
     try:
-        res = minimize_1d(ScalarObjective(obj, lo=-INF, hi=hi), tol=1e-10, coarse=81,
-                          s_lo=-30.0, s_hi=30.0)
+        res = minimize_1d(ScalarObjective(obj, lo=-INF, hi=hi, vectorized=True), tol=1e-10,
+                          coarse=81, s_lo=-30.0, s_hi=30.0)
         best = res.value
     except ValueError:
         best = INF
@@ -417,8 +451,9 @@ def _theta_dual_bound(spec: RenewalSpec, al: float, restrict_nonpos: bool,
     max(v, 0) / (alpha (alpha - 1)). diagnostics, when given,
     receives the optimal multiplier theta_star and the dual value."""
     warm = al * spec.h_bar if np.isfinite(spec.h_bar) else None
+    beta_l1 = spec.beta_at(al)
     theta_star, v = _sup_over_theta(
-        lambda th: _dual_inner(spec, al, th, restrict_nonpos), warm)
+        lambda th: _dual_inner(beta_l1, th, restrict_nonpos), warm)
     if diagnostics is not None:
         diagnostics["theta_star"] = theta_star
         diagnostics["dual"] = v

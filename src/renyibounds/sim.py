@@ -22,6 +22,7 @@ from .renewal import RenewalSpec
 from .scheduling import SchedulingInstance
 
 _MASK64 = (1 << 64) - 1
+_GAP_BATCH = 256  # inter-event gaps drawn per batch by tilted renewal sampling
 
 
 def make_stream(seed: int, *ids: int) -> np.random.Generator:
@@ -579,14 +580,18 @@ def mc_renyi_rate(q_spec: Union[PoissonProcess, CoxPiecewise, RenewalProcess],
                 rng = make_stream(seed, r, 3)
                 t, lw = 0.0, 0.0
                 while True:
-                    e = rng.exponential()
-                    gap = float(np.interp(e, cum_tilt, x))
-                    if t + gap >= horizon:
-                        rem = horizon - t
-                        lw += float(np.interp(rem, x, weight))
+                    # the gaps a one-draw-per-event loop would take, in order;
+                    # ends[j] is the time after j of them, summed one by one
+                    gaps = np.interp(rng.exponential(size=_GAP_BATCH), cum_tilt, x)
+                    ends = np.cumsum(np.concatenate(([t], gaps)))
+                    past = ends[1:] >= horizon
+                    stop = int(np.argmax(past)) if past.any() else _GAP_BATCH
+                    for w in np.interp(gaps[:stop], x, weight).tolist():
+                        lw += w
+                    if stop < _GAP_BATCH:
+                        lw += float(np.interp(horizon - ends[stop], x, weight))
                         break
-                    lw += float(np.interp(gap, x, weight))
-                    t += gap
+                    t = float(ends[-1])
                 log_y[r] = lw
             return _aggregate_log_mean(log_y, abar * horizon, seed)
         # reference sampling: Poisson path, renewal/Poisson likelihood ratio

@@ -1,7 +1,9 @@
-"""Test oracles for the scheduling bounds: a brute-force simplex minimum of
-W, the risk-sensitive duality residual on a finite space and a
-midpoint-convexity probe. Only tests call them; pytest does not collect
-this module."""
+"""Test oracles: for the scheduling bounds, a brute-force simplex minimum
+of W, the risk-sensitive duality residual on a finite space and a
+midpoint-convexity probe; for the renewal bounds and the Monte-Carlo rate,
+scalar one-point-at-a-time versions of the g2/g3 inner dual and of tilted
+renewal sampling, which the library's array versions must equal to the
+last bit. Only tests call them; pytest does not collect this module."""
 
 import itertools
 import math
@@ -10,8 +12,10 @@ from typing import Sequence
 import numpy as np
 
 from renyibounds.divergence import FiniteDistribution
-from renyibounds.optimize import INF
+from renyibounds.optimize import INF, ScalarObjective, minimize_1d
+from renyibounds.renewal import RenewalSpec
 from renyibounds.scheduling import SchedulingInstance, tilted_rates
+from renyibounds.sim import McEstimate, _aggregate_log_mean, _renewal_tilted_tables, make_stream
 
 
 def _simplex_grid(k: int, m: int):
@@ -119,3 +123,47 @@ def convexity_probe_m(theta_grid: Sequence[float], x_samples: Sequence[float],
         if m(tm) > 0.5 * (vals[i] + vals[i + 2]) + tol:
             violations += 1
     return violations
+
+
+def dual_inner_scalar(spec: RenewalSpec, al: float, theta: float, restrict_nonpos: bool) -> float:
+    """renewal._dual_inner with every lambda1 passed to spec.beta one at a
+    time: inf over lambda1 (<= 0 with restrict_nonpos) of
+    (lambda1)^- + theta beta(lambda1, alpha)."""
+
+    def obj(l1: float) -> float:
+        b = spec.beta(l1, al)
+        if not np.isfinite(b):
+            return INF
+        return -min(l1, 0.0) + theta * b
+
+    hi = 0.0 if restrict_nonpos else INF
+    try:
+        res = minimize_1d(ScalarObjective(obj, lo=-INF, hi=hi), tol=1e-10, coarse=81,
+                          s_lo=-30.0, s_hi=30.0)
+        best = res.value
+    except ValueError:
+        best = INF
+    end = obj(0.0)
+    return min(best, end)
+
+
+def tilted_renewal_rate_per_event(spec: RenewalSpec, ref_rate: float, al: float,
+                                  horizon: float, reps: int, seed: int) -> McEstimate:
+    """sim.mc_renyi_rate on a renewal process with tilted sampling, drawing
+    one exponential and interpolating one gap per event."""
+    x, cum_tilt, weight = _renewal_tilted_tables(spec, ref_rate, al)
+    log_y = np.empty(reps)
+    for r in range(reps):
+        rng = make_stream(seed, r, 3)
+        t, lw = 0.0, 0.0
+        while True:
+            e = rng.exponential()
+            gap = float(np.interp(e, cum_tilt, x))
+            if t + gap >= horizon:
+                rem = horizon - t
+                lw += float(np.interp(rem, x, weight))
+                break
+            lw += float(np.interp(gap, x, weight))
+            t += gap
+        log_y[r] = lw
+    return _aggregate_log_mean(log_y, al * (al - 1.0) * horizon, seed)

@@ -41,6 +41,19 @@ def test_minimize_skips_infinite_plateau():
     assert abs(res.arg - 3.0) < 1e-6
 
 
+def test_no_point_is_evaluated_twice():
+    # the closing probe reuses golden section's value at the optimum
+    points = []
+
+    def f(x):
+        points.append(x)
+        return (x - 2.0) ** 2
+
+    res = minimize_1d(ScalarObjective(f))
+    assert res.converged and abs(res.arg - 2.0) < 1e-6
+    assert len(set(points)) == len(points) == res.evaluations
+
+
 def test_maximize_concave():
     res = maximize_1d(ScalarObjective(lambda x: -(x - 1.5) ** 2 + 4.0))
     assert abs(res.arg - 1.5) < 1e-6

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import dual_inner_scalar
 from renyibounds.optimize import INF, ScalarObjective, maximize_1d
-from renyibounds.renewal import (HypothesisViolationError, RenewalSpec, bound_report,
-                                 exponential_exact_rdr, exponential_spec,
+from renyibounds.renewal import (HypothesisViolationError, RenewalSpec, _dual_inner,
+                                 bound_report, exponential_exact_rdr, exponential_spec,
                                  g1_bound, g2_bound, g3_bound,
                                  gamma_closed_form, gamma_spec,
                                  mixture_exp_spec, phase_type_envelope_bound,
@@ -294,3 +295,43 @@ def test_mixture_sup_h_is_h_at_zero():
         assert spec.h_bar == h[0]
         assert spec.h_bar >= np.max(h) - 1e-14
     assert mixture_exp_spec([0.5, 0.5], [0.5, 2.0]).h_bar == INF
+
+
+@pytest.mark.parametrize("spec", [exponential_spec(0.8), exponential_spec(2.3),
+                                  gamma_spec(1.0, 1.7), gamma_spec(2.2, 2.1),
+                                  gamma_spec(3.5, 0.6)], ids=lambda s: s.name)
+def test_closed_beta_array_equals_scalar(spec):
+    # l2 = -2 makes s2 = 1 + l2 (k - 1) <= 0 for gamma shapes k >= 1.5, and
+    # large lambda1 makes d <= 0: both cells are inf on both paths. numpy's
+    # log differs from math.log in the last bit on a few in 10^4 inputs, so
+    # thousands of random points catch an array log in place of math.log
+    rng = np.random.default_rng(5)
+    l1 = np.concatenate([np.linspace(-40.0, 6.0, 93), [0.0, 1.0, 1.0 + 1e-12],
+                         rng.uniform(-40.0, 6.0, 4000)])
+    for l2 in (-2.0, -0.05, 0.0, 0.05, 1.0, 2.5, 4.0):
+        beta_l1 = spec.beta_closed(l2)
+        got = beta_l1(l1)
+        want = [beta_l1(x) for x in l1.tolist()]
+        assert got.tolist() == want
+        assert [spec.beta(x, l2) for x in l1.tolist()] == want
+        assert spec.beta_at(l2)(l1).tolist() == want
+    assert np.isinf(gamma_spec(3.5, 0.6).beta_at(-2.0)(l1)).all()
+    assert np.isinf(exponential_spec(2.3).beta_at(1.0)(np.array([2.3, 5.0]))).all()
+
+
+def test_quadrature_beta_at_maps_points_one_at_a_time():
+    spec = mixture_exp_spec([0.5, 0.5], [1.0, 2.0])
+    l1 = np.array([-3.0, -0.5, 0.0, 0.4])
+    assert spec.beta_at(2.0)(l1).tolist() == [spec.beta(x, 2.0) for x in l1.tolist()]
+
+
+@pytest.mark.parametrize("spec", [exponential_spec(0.8), exponential_spec(2.3),
+                                  gamma_spec(2.2, 2.1), gamma_spec(1.6, 2.8)],
+                         ids=lambda s: s.name)
+def test_dual_inner_equals_scalar_oracle(spec):
+    for al in (1.7, 3.2):
+        beta_l1 = spec.beta_at(al)
+        for theta in np.exp(np.linspace(-4.0, 4.0, 9)).tolist():
+            for restrict_nonpos in (True, False):
+                assert (_dual_inner(beta_l1, theta, restrict_nonpos)
+                        == dual_inner_scalar(spec, al, theta, restrict_nonpos))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import tilted_renewal_rate_per_event
 from renyibounds.divergence import poisson_renyi_rate
 from renyibounds.renewal import (exponential_spec, gamma_closed_form,
                                  gamma_spec)
@@ -206,6 +207,18 @@ def test_mc_rate_exact_for_deterministic_intensities():
     est = mc_renyi_rate(spec, 1.0, 2.0, horizon=4.0, reps=10)
     want = 0.5 * (poisson_renyi_rate(0.5, 2.0) + poisson_renyi_rate(2.0, 2.0))
     assert abs(est.point - want) < 1e-12
+
+
+@pytest.mark.parametrize("spec, al, horizon, reps, seed", [
+    (gamma_spec(2.0, 2.0), 2.0, 50.0, 40, 0),
+    (gamma_spec(2.7, 1.3), 1.6, 20.0, 40, 7),
+    (exponential_spec(1.5), 2.5, 50.0, 40, 3),
+    # several hundred events a replication: gap batches carry their end time
+    (gamma_spec(1.5, 2.4), 2.2, 600.0, 4, 11),
+], ids=["gamma", "gamma-short", "exponential", "multi-batch"])
+def test_tilted_renewal_rate_equals_per_event_oracle(spec, al, horizon, reps, seed):
+    got = mc_renyi_rate(RenewalProcess(spec), 1.0, al, horizon=horizon, reps=reps, seed=seed)
+    assert got == tilted_renewal_rate_per_event(spec, 1.0, al, horizon, reps, seed)
 
 
 def test_mc_rate_reference_sampling_mild_case():
