@@ -162,6 +162,10 @@ class AlphaCurve:
     ``anchor`` restricts evaluation to a single order (families whose defining
     constraint is order-specific). Otherwise the domain is the open interval
     (1, alpha_max).
+
+    ``fn`` takes a float or a 1-D array of orders; on an array it returns the
+    values elementwise (or one value for all orders), equal to the float
+    calls', with NaN where it refuses an order.
     """
 
     fn: Callable[[float], float]
@@ -174,6 +178,11 @@ class AlphaCurve:
         return 1.0 < al < self.alpha_max
 
     def __call__(self, a: OrderLike) -> float:
+        """The rate at one order; raises ValueError off the domain or where
+        the value is negative beyond DIVERGENCE_ATOL. An ndarray of orders
+        gives the array of those values, with NaN where a float call raises."""
+        if isinstance(a, np.ndarray):
+            return self._on_array(a)
         al = as_order(a).alpha
         if not self.domain_contains(al):
             raise ValueError(f"alpha={al} outside curve domain")
@@ -181,6 +190,15 @@ class AlphaCurve:
         if v < -DIVERGENCE_ATOL:
             raise ValueError(f"curve negative at alpha={al}: {v}")
         return max(v, 0.0)
+
+    def _on_array(self, al: np.ndarray) -> np.ndarray:
+        al = np.asarray(al, dtype=float)
+        if self.anchor is not None:
+            inside = np.abs(al - self.anchor) <= 1e-12
+        else:
+            inside = (1.0 < al) & (al < self.alpha_max)
+        v = np.broadcast_to(np.asarray(self.fn(al), dtype=float), al.shape)
+        return np.where(inside & ~(v < -DIVERGENCE_ATOL), np.maximum(v, 0.0), np.nan)
 
     @staticmethod
     def zero() -> "AlphaCurve":
@@ -220,8 +238,9 @@ class RrbInputs:
 
 def rrb_upper(inputs: RrbInputs, a: OrderLike) -> float:
     """One-alpha robust upper bound on the family's log-probability:
-    ((alpha-1)/alpha) L + (alpha-1) r(alpha)."""
-    al = as_order(a).alpha
+    ((alpha-1)/alpha) L + (alpha-1) r(alpha). An ndarray of orders gives the
+    array of bounds, NaN where the curve refuses an order."""
+    al = a if isinstance(a, np.ndarray) else as_order(a).alpha
     r = inputs.rdr_curve(al)
     L = inputs.ref_log_prob
     return (al - 1.0) / al * L + (al - 1.0) * r
@@ -237,13 +256,14 @@ class RrbResult:
 
 def rrb_optimize(inputs: RrbInputs) -> RrbResult:
     """Best bound over the curve's alpha domain, minimized on
-    s = log(alpha-1) (or a logistic transform for bounded domains)."""
+    s = log(alpha-1) (or a logistic transform for bounded domains). The
+    coarse scan evaluates all its orders in one array call."""
     curve = inputs.rdr_curve
     if curve.anchor is not None:
         al = curve.anchor
         return RrbResult(al, rrb_upper(inputs, al), True, False)
     res = minimize_1d(ScalarObjective(lambda al: rrb_upper(inputs, al),
-                                      lo=1.0, hi=curve.alpha_max), tol=1e-8)
+                                      lo=1.0, hi=curve.alpha_max, vectorized=True), tol=1e-8)
     return RrbResult(res.arg, res.value, res.converged, res.boundary)
 
 

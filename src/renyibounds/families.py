@@ -10,8 +10,11 @@ Families (all relative to a rate-lambda0 Poisson reference):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
+
+import numpy as np
 
 from .divergence import AlphaCurve, OrderLike, as_order, poisson_renyi_rate
 
@@ -106,9 +109,12 @@ def rdr_q1(fam: Q1, ref: PoissonReference, a: OrderLike | None = None) -> float:
 
 
 def rdr_q2(fam: Q2, ref: PoissonReference, a: OrderLike) -> float:
+    """Rate of the worse band endpoint. ``a`` may be an ndarray of orders,
+    as for poisson_renyi_rate."""
     ae, be = _fold_marks(ref, fam.a, fam.b)
     k = poisson_renyi_rate
-    return max(k(ae, a), k(be, a)) * ref.rate
+    ka, kb = k(ae, a), k(be, a)
+    return (np.maximum(ka, kb) if isinstance(a, np.ndarray) else max(ka, kb)) * ref.rate
 
 
 def rdr_q3(fam: Q3, ref: PoissonReference, a: OrderLike) -> float:
@@ -126,11 +132,19 @@ def rdr_q4(fam: Q4, ref: PoissonReference, a: OrderLike) -> float:
     """Value for orders strictly between 1 and the anchor alpha0.
 
     Cross-checks the closed form against its two-point mixture representation
-    before returning.
+    before returning. An ndarray of orders gives the values point by point,
+    each cross-checked, with NaN at orders outside (1, alpha0).
     """
+    if isinstance(a, np.ndarray):
+        return np.array([_rdr_q4_at(fam, ref, al) if 1.0 < al < fam.alpha0 else math.nan
+                         for al in a.tolist()])
     al = as_order(a).alpha
     if not (1.0 < al < fam.alpha0):
         raise ValueError("Q4 requires 1 < alpha < alpha0")
+    return _rdr_q4_at(fam, ref, al)
+
+
+def _rdr_q4_at(fam: Q4, ref: PoissonReference, al: float) -> float:
     abar = al * (al - 1.0)
     abar0 = fam.alpha0 * (fam.alpha0 - 1.0)
     base = abar0 * fam.u + 1.0

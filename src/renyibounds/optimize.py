@@ -7,6 +7,7 @@ are never evaluated directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +25,8 @@ class ScalarObjective:
     With ``vectorized`` set, ``fn`` also takes a 1-D array of points and
     returns their values elementwise, with NaN where a point is outside the
     objective's domain; ``minimize_1d`` then evaluates its whole coarse scan
-    in one call. Every other evaluation still passes a single float.
+    in one call, on a read-only array that searches with the same setting
+    share. Every other evaluation still passes a single float.
     """
 
     fn: Callable[[float], float]
@@ -61,6 +63,19 @@ def _transform(lo: float, hi: float) -> Callable[[float], float]:
         return lo + span / (1.0 + math.exp(-s))
 
     return to_x
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_points(lo: float, hi: float, s_lo: float, s_hi: float, coarse: int):
+    """The coarse scan's points, as (s, to_x(s)), read-only. Searches with
+    one setting (the g2/g3 inner searches, the order searches) share them;
+    to_x maps point by point, so the x are those of single-point calls."""
+    grid = np.linspace(s_lo, s_hi, coarse)
+    to_x = _transform(lo, hi)
+    xs = np.array([to_x(s) for s in grid])
+    grid.flags.writeable = False
+    xs.flags.writeable = False
+    return grid, xs
 
 
 def _safe(fn: Callable[[float], float]) -> Callable[[float], float]:
@@ -126,13 +141,13 @@ def minimize_1d(
         evals += 1
         return raw(to_x(s))
 
-    grid = np.linspace(s_lo, s_hi, coarse)
+    grid, xs = _scan_points(obj.lo, obj.hi, s_lo, s_hi, coarse)
     if obj.vectorized:
-        v = np.asarray(obj.fn(np.array([to_x(s) for s in grid])), dtype=float)
+        v = np.asarray(obj.fn(xs), dtype=float)
         vals = np.where(np.isnan(v), INF, v).tolist()
-        evals += coarse
     else:
-        vals = [f(s) for s in grid]
+        vals = [raw(x) for x in xs.tolist()]
+    evals += coarse
     if all(v == INF for v in vals):
         raise ValueError("objective is not finite anywhere in the probed domain")
     i = int(np.argmin(vals))

@@ -15,12 +15,12 @@ mu (all rates divided by mu, the returned decay rates multiplied back).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .divergence import (AlphaCurve, OrderLike, RrbInputs, as_order,
+from .divergence import (AlphaCurve, OrderLike, RrbInputs, RrbResult, as_order,
                          poisson_renyi_rate, rrb_optimize)
 from .families import PoissonReference, Q2, Q3, UncertaintyFamily, family_curve
 from .renewal import gamma_closed_form
@@ -125,11 +125,16 @@ def gamma_box_r2(box: GammaBox, a: OrderLike) -> float:
     v = alpha u on the left, both sides are integrals of v e^{-tv} times
     c/(e^{cv} - 1) (left, c = 1/alpha < 1) and 1/(e^v - 1) (right), and
     y/(e^y - 1) is decreasing, so c v/(e^{cv} - 1) > v/(e^v - 1) for v > 0.
+
+    An ndarray of orders gives one value per order, from one closed-form call
+    on the corners broadcast against the orders, with NaN at orders <= 1.
     """
-    al = as_order(a).alpha
     k = np.array([box.k_lo, box.k_hi])
     rho = np.array([[box.rho_lo], [box.rho_hi]])
-    return float(np.max(gamma_closed_form(k, rho, al)))
+    if isinstance(a, np.ndarray):
+        v = gamma_closed_form(k[None, None, :], rho[None, :, :], a[:, None, None])
+        return np.max(v, axis=(1, 2))
+    return float(np.max(gamma_closed_form(k, rho, as_order(a).alpha)))
 
 
 def _service_curve(fam: ServiceFamily) -> AlphaCurve:
@@ -148,16 +153,18 @@ def robust_bound_curve(inst: RenegingInstance, fam: CompositeFamily) -> Tuple[fl
     lam = norm.lam
 
     def r1(al: float) -> float:
-        return max(poisson_renyi_rate(a_hat, al), poisson_renyi_rate(b_hat, al)) * lam
+        ka, kb = poisson_renyi_rate(a_hat, al), poisson_renyi_rate(b_hat, al)
+        return (np.maximum(ka, kb) if isinstance(al, np.ndarray) else max(ka, kb)) * lam
 
     r1_curve = AlphaCurve(r1)
     total = r1_curve + _service_curve(fam.service_family)
     return -c_ref, total
 
 
-def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily) -> Tuple[float, float]:
+def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily) -> RrbResult:
     """Best single-alpha bound on the normalized log-probability of exceeding
-    reneging rate gamma under the composite family. Returns (bound, alpha*).
+    reneging rate gamma under the composite family: the order search's
+    result, with alpha*, its converged and boundary flags, and the bound.
 
     The bound (in the mu-rescaled clock) is
     inf over alpha of -((alpha-1)/alpha) C(gamma) + (alpha-1)(r1 + r2),
@@ -165,7 +172,7 @@ def robust_reneging_bound(inst: RenegingInstance, fam: CompositeFamily) -> Tuple
     """
     ref_log_prob, total = robust_bound_curve(inst, fam)
     res = rrb_optimize(RrbInputs(ref_log_prob, total))
-    return res.bound * inst.mu, res.alpha_star
+    return replace(res, bound=res.bound * inst.mu)
 
 
 FIG3_COLUMNS = [
@@ -214,8 +221,8 @@ def figure3_data(inst: RenegingInstance, families: Optional[Dict[str, CompositeF
                 row[f"bound_{name}"] = math.nan
                 row[f"alpha_star_{name}"] = math.nan
                 continue
-            bound, a_star = robust_reneging_bound(at, families[name])
-            row[f"bound_{name}"] = bound
-            row[f"alpha_star_{name}"] = a_star
+            res = robust_reneging_bound(at, families[name])
+            row[f"bound_{name}"] = res.bound
+            row[f"alpha_star_{name}"] = res.alpha_star
         rows.append(row)
     return rows

@@ -345,18 +345,21 @@ def gamma_closed_form(k, rho, a: OrderLike):
     """Closed-form divergence-rate bound for a Gamma(k, rho) renewal process,
     k >= 1, rho > 1. Reduces to the exact exponential value at k = 1.
 
-    k and rho may be arrays, which broadcast against each other; a value
-    that overflows is inf. Scalar k and rho give a float."""
+    k, rho and the order may be arrays, which broadcast against each other;
+    a value that overflows is inf, and an order <= 1 (or NaN) gives NaN.
+    Scalar k, rho and order give a float."""
     from scipy.special import gammaln
     k = np.asarray(k, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if np.any(k < 1) or np.any(rho <= 1):
         raise ValueError("requires k >= 1 and rho > 1")
-    al = as_order(a).alpha
-    s = 1.0 + al * (k - 1.0)
-    log_a = (gammaln(s) - al * gammaln(k) + al * k * np.log(rho)) / s
-    with np.errstate(over="ignore"):
+    al = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else as_order(a).alpha
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = 1.0 + al * (k - 1.0)
+        log_a = (gammaln(s) - al * gammaln(k) + al * k * np.log(rho)) / s
         v = (np.exp(log_a) - al * (rho - 1.0) - 1.0) / (al * (al - 1.0))
+    if isinstance(a, np.ndarray):
+        return np.where(al > 1.0, v, np.nan)
     return float(v) if v.ndim == 0 else v
 
 

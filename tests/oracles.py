@@ -2,16 +2,18 @@
 of W, the risk-sensitive duality residual on a finite space and a
 midpoint-convexity probe; for the renewal bounds and the Monte-Carlo rate,
 scalar one-point-at-a-time versions of the g2/g3 inner dual and of tilted
-renewal sampling, which the library's array versions must equal to the
-last bit. Only tests call them; pytest does not collect this module."""
+renewal sampling; for the robust Renyi bound, a divergence-rate curve or
+bound evaluated one order at a time and the order search with a scalar
+scan. The library's array versions must equal these to the last bit. Only
+tests call them; pytest does not collect this module."""
 
 import itertools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from renyibounds.divergence import FiniteDistribution
+from renyibounds.divergence import FiniteDistribution, RrbInputs, RrbResult, rrb_upper
 from renyibounds.optimize import INF, ScalarObjective, minimize_1d
 from renyibounds.renewal import RenewalSpec
 from renyibounds.scheduling import SchedulingInstance, tilted_rates
@@ -167,3 +169,24 @@ def tilted_renewal_rate_per_event(spec: RenewalSpec, ref_rate: float, al: float,
             t += gap
         log_y[r] = lw
     return _aggregate_log_mean(log_y, al * (al - 1.0) * horizon, seed)
+
+
+def order_by_order(fn: Callable[[float], float], orders: np.ndarray) -> np.ndarray:
+    """fn's float calls at each order, for a curve or a bound of one order,
+    with NaN where a call raises ValueError (off the curve's domain, or
+    negative beyond the tolerance)."""
+    out = []
+    for al in orders.tolist():
+        try:
+            out.append(fn(al))
+        except ValueError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def rrb_optimize_scalar_scan(inputs: RrbInputs) -> RrbResult:
+    """rrb_optimize's order search on a non-anchored curve, with its coarse
+    scan made one order at a time."""
+    res = minimize_1d(ScalarObjective(lambda al: rrb_upper(inputs, al),
+                                      lo=1.0, hi=inputs.rdr_curve.alpha_max), tol=1e-8)
+    return RrbResult(res.arg, res.value, res.converged, res.boundary)

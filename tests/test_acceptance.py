@@ -202,12 +202,12 @@ def test_criterion_09_reneging_robust_bounds():
     at = inst.at(2.0)
     grid = 1.0 + np.geomspace(1e-6, 1e3, 10_000)
     for name in ("Q2prime", "Q3prime"):
-        bound, _ = robust_reneging_bound(at, fams[name])
+        bound = robust_reneging_bound(at, fams[name]).bound
         log_prob, curve = robust_bound_curve(at, fams[name])
         scan = min(rrb_upper(RrbInputs(log_prob, curve), a) for a in grid)
         assert abs(bound - scan) < 1e-5
     for g in np.linspace(inst.gamma0, inst.gamma0 + 3.0, 10):
-        b = {name: robust_reneging_bound(inst.at(float(g)), fam)[0]
+        b = {name: robust_reneging_bound(inst.at(float(g)), fam).bound
              for name, fam in fams.items()}
         assert b["Q3"] <= b["Q2"] + 1e-9
         assert b["Q3prime"] <= b["Q2prime"] + 1e-9

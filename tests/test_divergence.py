@@ -11,6 +11,12 @@ from renyibounds.divergence import (AlphaCurve, FiniteDistribution, RenyiOrder,
                                     renyi_divergence, rrb_optimize, rrb_upper)
 from renyibounds.optimize import INF
 
+from oracles import order_by_order
+
+# rrb_optimize's coarse scan on (1, inf), then orders off every curve's domain
+SCAN_ORDERS = np.concatenate([1.0 + np.exp(np.linspace(-30.0, 30.0, 121)),
+                              [1.0, 0.5, -1.0, np.nan]])
+
 
 def _random_dist(rng, n):
     w = rng.random(n) + 1e-3
@@ -155,6 +161,21 @@ def test_alpha_curve_domain_and_addition():
     assert anchored.domain_contains(2.0) and not anchored.domain_contains(2.5)
     with pytest.raises(ValueError):
         _ = AlphaCurve(lambda al: 0.0, anchor=2.0) + AlphaCurve(lambda al: 0.0, anchor=3.0)
+
+
+def test_curve_array_call_equals_scalar_calls():
+    # negative below alpha 2: refused beyond DIVERGENCE_ATOL, clamped to 0 within it
+    tilted = AlphaCurve(lambda al: al - 2.0, alpha_max=3.0)
+    orders = np.concatenate([SCAN_ORDERS, np.linspace(1.5, 3.5, 9), [2.0 - 5e-10, 2.0]])
+    for curve in (AlphaCurve.zero(), AlphaCurve.constant(0.3), tilted,
+                  AlphaCurve.constant(0.3) + tilted, AlphaCurve(lambda al: 1.0, anchor=2.0)):
+        assert np.array_equal(curve(orders), order_by_order(curve, orders), equal_nan=True)
+        inputs = RrbInputs(-2.0, curve)
+        assert np.array_equal(rrb_upper(inputs, orders),
+                              order_by_order(lambda al: rrb_upper(inputs, al), orders),
+                              equal_nan=True)
+    assert tilted(np.array([2.0 - 5e-10, 1.5, 3.0])).tolist()[0] == 0.0
+    assert np.isnan(tilted(np.array([1.5, 3.0]))).all()
 
 
 def test_rrb_upper_formulas():

@@ -6,12 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renyibounds import families
 from renyibounds.divergence import poisson_renyi_rate
 from renyibounds.families import (MarkSpec, PoissonReference, Q1, Q2, Q3, Q4,
                                   family_curve, family_from_dict, rdr_q1,
                                   rdr_q2, rdr_q3, rdr_q4, reference_from_dict)
 
+from oracles import order_by_order
+
 REF = PoissonReference(rate=1.0)
+_S = np.linspace(-30.0, 30.0, 121)
+# the order search's coarse scans on (1, inf) and on (1, 3), Q1's anchor 2,
+# then Q4's anchor 3, an order beyond it, and orders off every domain
+ORDERS = np.concatenate([1.0 + np.exp(_S), 1.0 + 2.0 / (1.0 + np.exp(-_S)),
+                         [2.0, 3.0, 3.5, 1.0, 0.5, np.nan]])
 
 
 def test_hazard_band_value_is_worst_endpoint():
@@ -151,3 +159,25 @@ def test_anchor_propagation_below_linear_interpolant(u, alpha0):
     abar0 = alpha0 * (alpha0 - 1.0)
     chord = (al - 1.0) / (alpha0 - 1.0) * abar0 * u
     assert abar * rdr_q4(fam, REF, al) <= chord + 1e-9
+
+
+@pytest.mark.parametrize("fam, ref", [
+    (Q1(0.4, 2.0), REF), (Q2(0.7, 1.3), REF), (Q2(1.0, 1.0), REF),
+    (Q2(0.5, 2.0), PoissonReference(rate=1.5, mark_spec=MarkSpec(0.9, 1.2))),
+    (Q3(0.7, 1.3), REF), (Q3(1.0, 1.0), REF), (Q4(alpha0=3.0, u=0.5), REF),
+], ids=["Q1", "Q2", "Q2-unit", "Q2-marked", "Q3", "Q3-unit", "Q4"])
+def test_family_curve_array_call_equals_scalar_calls(fam, ref):
+    curve = family_curve(fam, ref)
+    got = curve(ORDERS)
+    assert np.array_equal(got, order_by_order(curve, ORDERS), equal_nan=True)
+    if isinstance(fam, Q2) and fam.b > 1.0:
+        assert np.isinf(got).any()  # b^alpha overflowed at the largest orders
+    if isinstance(fam, Q4):
+        assert np.isnan(got[-5:]).all()  # at and beyond alpha0, and at or below 1
+        assert np.array_equal(rdr_q4(fam, ref, ORDERS), got, equal_nan=True)
+
+
+def test_anchor_propagation_array_call_cross_checks_each_order(monkeypatch):
+    monkeypatch.setattr(families, "poisson_renyi_rate", lambda x, a: 0.0)
+    with pytest.raises(AssertionError, match="two-point"):
+        rdr_q4(Q4(alpha0=3.0, u=0.5), REF, np.array([4.0, 1.5]))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from renyibounds.optimize import INF, ScalarObjective, maximize_1d, minimize_1d
+from renyibounds.optimize import (INF, ScalarObjective, _scan_points, _transform,
+                                  maximize_1d, minimize_1d)
 
 
 def test_minimize_unconstrained_quadratic():
@@ -118,3 +119,16 @@ def test_evaluations_count_every_objective_point(fn, lo, hi, vectorized, coarse,
     assert res.evaluations == sum(points)
     if vectorized:
         assert points[0] == coarse and set(points[1:]) == {1}
+
+
+@pytest.mark.parametrize("lo, hi", [(-INF, INF), (1.0, INF), (-INF, 0.0), (1.0, 3.0)])
+def test_scan_points_are_mapped_once_and_read_only(lo, hi):
+    grid, xs = _scan_points(lo, hi, -30.0, 30.0, 121)
+    to_x = _transform(lo, hi)
+    assert grid.tolist() == np.linspace(-30.0, 30.0, 121).tolist()
+    assert xs.tolist() == [to_x(s) for s in np.linspace(-30.0, 30.0, 121)]
+    assert _scan_points(lo, hi, -30.0, 30.0, 121)[1] is xs  # mapped once
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.0

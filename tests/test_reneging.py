@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from renyibounds.divergence import RrbInputs, rrb_upper
+from renyibounds.divergence import RrbInputs, RrbResult, rrb_optimize, rrb_upper
 from renyibounds.families import Q2, Q3, Q4
 from renyibounds.renewal import gamma_closed_form
 from renyibounds.reneging import (FIG3_COLUMNS, CompositeFamily, GammaBox,
@@ -12,7 +12,12 @@ from renyibounds.reneging import (FIG3_COLUMNS, CompositeFamily, GammaBox,
                                   robust_bound_curve, robust_reneging_bound,
                                   z_of_gamma)
 
+from oracles import order_by_order, rrb_optimize_scalar_scan
+
 INST = RenegingInstance(lam=2.0, mu=1.0, theta=1.0)
+# rrb_optimize's coarse scan on (1, inf), then orders off every domain
+SCAN_ORDERS = np.concatenate([1.0 + np.exp(np.linspace(-30.0, 30.0, 121)), [1.0, 0.5, np.nan]])
+Q4_SERVICE = CompositeFamily(service_family=Q4(alpha0=2.0, u=0.1))
 
 
 def _decay_variational(lam, mu, gamma):
@@ -51,20 +56,21 @@ def test_decay_increasing_past_typical_rate():
 def test_alpha_infimum_matches_grid_scan():
     fam = default_families(delta=0.3)["Q2prime"]
     at = INST.at(2.0)
-    bound, a_star = robust_reneging_bound(at, fam)
+    res = robust_reneging_bound(at, fam)
     log_prob, curve = robust_bound_curve(at, fam)
     grid = 1.0 + np.geomspace(1e-6, 1e3, 10_000)
     scan = min(rrb_upper(RrbInputs(log_prob, curve), a) for a in grid)
-    assert bound <= scan + 1e-7
-    assert abs(bound - scan) < 1e-5
-    assert a_star > 1.0
+    assert res.bound <= scan + 1e-7
+    assert abs(res.bound - scan) < 1e-5
+    assert res.alpha_star > 1.0
+    assert res.converged and not res.boundary
 
 
 def test_family_orderings_along_the_curve():
     fams = default_families(delta=0.3)
     for g in np.linspace(INST.gamma0 + 0.2, INST.gamma0 + 3.0, 10):
         at = INST.at(float(g))
-        b = {name: robust_reneging_bound(at, fam)[0] for name, fam in fams.items()}
+        b = {name: robust_reneging_bound(at, fam).bound for name, fam in fams.items()}
         ref = -reference_decay(at)
         for v in b.values():
             assert v >= ref - 1e-9  # penalties can only weaken the bound
@@ -79,7 +85,7 @@ def test_family_orderings_along_the_curve():
 def test_pinned_values_at_gamma_two():
     fams = default_families(delta=0.3)
     at = INST.at(2.0)
-    got = {name: robust_reneging_bound(at, fam)[0] for name, fam in fams.items()}
+    got = {name: robust_reneging_bound(at, fam).bound for name, fam in fams.items()}
     assert abs(got["Q2prime"] - (-0.0349)) < 2e-3
     assert abs(got["Q3prime"] - (-0.0351)) < 2e-3
     assert abs(got["gammabox_small"] - (-0.1057)) < 2e-3
@@ -109,10 +115,10 @@ def test_gamma_box_pinned_values(name):
     fam = default_families()[name]
     for al, want in zip(BOX_ORDERS, GAMMA_BOX_PINS[name]):
         assert gamma_box_r2(fam.service_family, al) == pytest.approx(want, rel=1e-12)
-    bound, a_star = robust_reneging_bound(INST.at(2.0), fam)
+    res = robust_reneging_bound(INST.at(2.0), fam)
     want_bound, want_alpha = GAMMA_BOX_BOUND_PINS[name]
-    assert abs(bound - want_bound) < 1e-9
-    assert a_star == pytest.approx(want_alpha, rel=1e-6)
+    assert abs(res.bound - want_bound) < 1e-9
+    assert res.alpha_star == pytest.approx(want_alpha, rel=1e-6)
 
 
 @pytest.mark.parametrize("al", sorted(BOX_ORDERS + (2.0,)))
@@ -177,11 +183,47 @@ def test_gamma_box_corner_lemma_and_k_scan():
             assert np.all(v.max(axis=1) == np.maximum(v[:, 0], v[:, -1]))
 
 
+@pytest.mark.parametrize("box", [GammaBox(1.0, 1.1, 1.0 + 1e-9, 1.1),
+                                 GammaBox(1.0, 1.5, 1.0 + 1e-9, 1.5),
+                                 GammaBox(1.0, 4.0, 1.2, 6.0)], ids=["small", "large", "wide"])
+def test_gamma_box_array_call_equals_scalar_calls(box):
+    got = gamma_box_r2(box, SCAN_ORDERS)
+    assert np.array_equal(got, order_by_order(lambda al: gamma_box_r2(box, al), SCAN_ORDERS),
+                          equal_nan=True)
+    assert np.isinf(got).any()  # the closed form overflowed at the largest orders
+    assert np.isnan(got[-3:]).all()
+
+
+def test_penalty_curves_array_call_equals_scalar_calls():
+    fams = list(default_families().values()) + [
+        Q4_SERVICE, CompositeFamily((0.7, 1.3), (0.9, 1.1), Q2(1.0, 1.0))]  # r1 alone
+    orders = np.concatenate([SCAN_ORDERS, np.linspace(1.5, 2.5, 5)])
+    for fam in fams:
+        _, curve = robust_bound_curve(INST.at(2.0), fam)
+        assert np.array_equal(curve(orders), order_by_order(curve, orders), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(default_families()) + ["Q4"])
+def test_order_search_equals_scalar_scan_search(name):
+    fam = default_families().get(name, Q4_SERVICE)
+    for g in (INST.gamma0, INST.gamma0 + 1.0, INST.gamma0 + 3.0):
+        inputs = RrbInputs(*robust_bound_curve(INST.at(g), fam))
+        assert rrb_optimize(inputs) == rrb_optimize_scalar_scan(inputs)
+
+
+def test_reneging_bound_is_the_order_search_result():
+    at = RenegingInstance(4.0, 2.0).at(4.5)
+    fam = default_families()["gammabox_small"]
+    search = rrb_optimize(RrbInputs(*robust_bound_curve(at, fam)))
+    assert robust_reneging_bound(at, fam) == RrbResult(
+        search.alpha_star, search.bound * 2.0, search.converged, search.boundary)
+
+
 def test_anchored_service_family_limits_alpha():
     fam = CompositeFamily(service_family=Q4(alpha0=2.0, u=0.1))
-    bound, a_star = robust_reneging_bound(INST.at(2.0), fam)
-    assert 1.0 < a_star < 2.0
-    assert bound < 0.0
+    res = robust_reneging_bound(INST.at(2.0), fam)
+    assert 1.0 < res.alpha_star < 2.0
+    assert res.bound < 0.0
 
 
 def test_service_rate_rescaling():
@@ -190,8 +232,8 @@ def test_service_rate_rescaling():
     scaled = RenegingInstance(4.0, 2.0).at(4.0)
     assert abs(reference_decay(scaled) - 2.0 * reference_decay(base)) < 1e-12
     fam = default_families(delta=0.3)["Q2prime"]
-    b1, _ = robust_reneging_bound(base, fam)
-    b2, _ = robust_reneging_bound(scaled, fam)
+    b1 = robust_reneging_bound(base, fam).bound
+    b2 = robust_reneging_bound(scaled, fam).bound
     assert abs(b2 - 2.0 * b1) < 1e-8
 
 
