@@ -2,10 +2,10 @@
 robust Renyi bounds for queueing guarantees, and a discrete-event simulator
 with Monte-Carlo oracles."""
 
-from .divergence import (AlphaCurve, FiniteDistribution, RenyiOrder, RrbInputs,
-                         RrbResult, as_order, jackson_compose,
-                         poisson_renyi_rate, relative_entropy_rate,
-                         renyi_divergence, rrb_optimize, rrb_upper)
+from .divergence import (AlphaCurve, FiniteDistribution, RrbInputs, RrbResult,
+                         as_order, jackson_compose, poisson_renyi_rate,
+                         relative_entropy_rate, renyi_divergence, rrb_optimize,
+                         rrb_upper)
 from .families import (MarkSpec, PoissonReference, Q1, Q2, Q3, Q4,
                        family_curve, family_from_dict, rdr_q1, rdr_q2,
                        rdr_q3, rdr_q4, reference_from_dict)

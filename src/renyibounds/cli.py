@@ -188,7 +188,7 @@ def cmd_rdr_renewal(args) -> int:
     spec = _renewal_spec_from_dict(cfg["spec"])
     alphas = cfg.get("alpha", 2.0)
     try:
-        alphas = [as_order(float(al)).alpha
+        alphas = [as_order(al)
                   for al in (alphas if isinstance(alphas, list) else [alphas])]
     except (ValueError, TypeError) as e:
         raise ConfigError(f"bad 'alpha' in config: {e}")

@@ -1,16 +1,17 @@
 """Renyi divergence primitives, Poisson divergence rates, and robust-bound
 composition.
 
-Conventions: orders are alpha > 1, with a distinguished limit tag for the
-alpha -> 1 case (relative entropy). Divergences are extended reals; +inf
-propagates through every formula instead of raising.
+Conventions: an order is a float alpha > 1 (or a 1-D array of them where a
+docstring says so); renyi_divergence also takes order 1, the alpha -> 1 limit
+(relative entropy). Divergences are extended reals; +inf propagates through
+every formula instead of raising.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,33 +21,12 @@ DIVERGENCE_ATOL = 1e-9
 BOUND_ATOL = 1e-6  # absolute tolerance to which checks pin a reported bound
 
 
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Order alpha > 1, or the alpha -> 1 limit (relative entropy)."""
-
-    alpha: float = math.nan
-    is_limit: bool = False
-
-    def __post_init__(self):
-        if not self.is_limit and not self.alpha > 1.0:
-            raise ValueError("Renyi order requires alpha > 1 (or the limit tag)")
-
-    @classmethod
-    def limit(cls) -> "RenyiOrder":
-        return cls(alpha=math.nan, is_limit=True)
-
-
-OrderLike = Union[RenyiOrder, float, int, str]
-
-
-def as_order(a: OrderLike) -> RenyiOrder:
-    if isinstance(a, RenyiOrder):
-        return a
-    if isinstance(a, str):
-        if a == "limit":
-            return RenyiOrder.limit()
-        raise ValueError(f"unknown order tag {a!r}")
-    return RenyiOrder(alpha=float(a))
+def as_order(a: float) -> float:
+    """The order as a float; raises ValueError unless alpha > 1 (NaN too)."""
+    al = float(a)
+    if not al > 1.0:
+        raise ValueError(f"Renyi order requires alpha > 1, not {a!r}")
+    return al
 
 
 @dataclass(frozen=True)
@@ -76,9 +56,10 @@ class FiniteDistribution:
         return FiniteDistribution(tuple(w))
 
 
-def renyi_divergence(q: FiniteDistribution, p: FiniteDistribution, a: OrderLike) -> float:
-    """R_alpha(Q || P) on a shared finite index set; +inf when Q !<< P."""
-    order = as_order(a)
+def renyi_divergence(q: FiniteDistribution, p: FiniteDistribution, a: float) -> float:
+    """R_alpha(Q || P) on a shared finite index set; +inf when Q !<< P.
+    Order 1 gives the relative entropy."""
+    al = 1.0 if a == 1 else as_order(a)
     qw, pw = q.as_array(), p.as_array()
     if qw.size != pw.size:
         raise ValueError("distributions must share an index set")
@@ -87,11 +68,10 @@ def renyi_divergence(q: FiniteDistribution, p: FiniteDistribution, a: OrderLike)
         return INF
     lq = np.log(qw[support])
     lp = np.log(pw[support])
-    if order.is_limit:
+    if al == 1.0:
         val = float(np.sum(np.exp(lq) * (lq - lp)))
     else:
         from scipy.special import logsumexp
-        al = order.alpha
         lse = float(logsumexp(al * lq + (1.0 - al) * lp))
         val = lse / (al * (al - 1.0))
     if val < 0.0:
@@ -110,7 +90,7 @@ def relative_entropy_rate(x: float) -> float:
     return x * math.log(x) - x + 1.0
 
 
-def poisson_renyi_rate(x: float, a: OrderLike) -> float:
+def poisson_renyi_rate(x: float, a: float) -> float:
     """k_alpha(x) = (x^alpha - alpha x + alpha - 1)/(alpha (alpha-1)).
 
     Divergence rate of a Poisson process of rate x against a unit-rate
@@ -124,10 +104,9 @@ def poisson_renyi_rate(x: float, a: OrderLike) -> float:
         raise ValueError("x must be nonnegative")
     if isinstance(a, np.ndarray):
         return _poisson_renyi_rates(x, a)
-    order = as_order(a)
-    if order.is_limit or order.alpha - 1.0 < 1e-9:
+    al = as_order(a)
+    if al - 1.0 < 1e-9:
         return relative_entropy_rate(x)
-    al = order.alpha
     if x > 0.0:
         lp = al * math.log(x)
         if lp > 700.0:  # x^alpha overflows the double range
@@ -177,13 +156,13 @@ class AlphaCurve:
             return abs(al - self.anchor) <= 1e-12
         return 1.0 < al < self.alpha_max
 
-    def __call__(self, a: OrderLike) -> float:
+    def __call__(self, a: float) -> float:
         """The rate at one order; raises ValueError off the domain or where
         the value is negative beyond DIVERGENCE_ATOL. An ndarray of orders
         gives the array of those values, with NaN where a float call raises."""
         if isinstance(a, np.ndarray):
             return self._on_array(a)
-        al = as_order(a).alpha
+        al = as_order(a)
         if not self.domain_contains(al):
             raise ValueError(f"alpha={al} outside curve domain")
         v = self.fn(al)
@@ -236,11 +215,11 @@ class RrbInputs:
             raise ValueError("ref_log_prob must be <= 0")
 
 
-def rrb_upper(inputs: RrbInputs, a: OrderLike) -> float:
+def rrb_upper(inputs: RrbInputs, a: float) -> float:
     """One-alpha robust upper bound on the family's log-probability:
     ((alpha-1)/alpha) L + (alpha-1) r(alpha). An ndarray of orders gives the
     array of bounds, NaN where the curve refuses an order."""
-    al = a if isinstance(a, np.ndarray) else as_order(a).alpha
+    al = a if isinstance(a, np.ndarray) else as_order(a)
     r = inputs.rdr_curve(al)
     L = inputs.ref_log_prob
     return (al - 1.0) / al * L + (al - 1.0) * r

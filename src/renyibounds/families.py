@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .divergence import AlphaCurve, OrderLike, as_order, poisson_renyi_rate
+from .divergence import AlphaCurve, as_order, poisson_renyi_rate
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,16 @@ def _fold_marks(ref: PoissonReference, a: float, b: float):
     return a * ref.mark_spec.a_mark, b * ref.mark_spec.b_mark
 
 
-def rdr_q1(fam: Q1, ref: PoissonReference, a: OrderLike | None = None) -> float:
+def rdr_q1(fam: Q1, ref: PoissonReference, a: float | None = None) -> float:
     """Anchored family value u*lambda0; defined only at the anchor order."""
     if a is not None:
-        al = as_order(a).alpha
+        al = as_order(a)
         if abs(al - fam.alpha_anchor) > 1e-12:
             raise ValueError("Q1 is order-specific; evaluate at its anchor only")
     return fam.u * ref.rate
 
 
-def rdr_q2(fam: Q2, ref: PoissonReference, a: OrderLike) -> float:
+def rdr_q2(fam: Q2, ref: PoissonReference, a: float) -> float:
     """Rate of the worse band endpoint. ``a`` may be an ndarray of orders,
     as for poisson_renyi_rate."""
     ae, be = _fold_marks(ref, fam.a, fam.b)
@@ -117,7 +117,7 @@ def rdr_q2(fam: Q2, ref: PoissonReference, a: OrderLike) -> float:
     return (np.maximum(ka, kb) if isinstance(a, np.ndarray) else max(ka, kb)) * ref.rate
 
 
-def rdr_q3(fam: Q3, ref: PoissonReference, a: OrderLike) -> float:
+def rdr_q3(fam: Q3, ref: PoissonReference, a: float) -> float:
     if ref.mark_spec is not None and (ref.mark_spec.a_mark != 1.0 or ref.mark_spec.b_mark != 1.0):
         raise ValueError("mark envelopes are folded for the hazard-band family only")
     if fam.a == fam.b:  # necessarily a = b = 1
@@ -128,7 +128,7 @@ def rdr_q3(fam: Q3, ref: PoissonReference, a: OrderLike) -> float:
     return (p * k(fam.a, a) + q * k(fam.b, a)) * ref.rate
 
 
-def rdr_q4(fam: Q4, ref: PoissonReference, a: OrderLike) -> float:
+def rdr_q4(fam: Q4, ref: PoissonReference, a: float) -> float:
     """Value for orders strictly between 1 and the anchor alpha0.
 
     Cross-checks the closed form against its two-point mixture representation
@@ -138,7 +138,7 @@ def rdr_q4(fam: Q4, ref: PoissonReference, a: OrderLike) -> float:
     if isinstance(a, np.ndarray):
         return np.array([_rdr_q4_at(fam, ref, al) if 1.0 < al < fam.alpha0 else math.nan
                          for al in a.tolist()])
-    al = as_order(a).alpha
+    al = as_order(a)
     if not (1.0 < al < fam.alpha0):
         raise ValueError("Q4 requires 1 < alpha < alpha0")
     return _rdr_q4_at(fam, ref, al)

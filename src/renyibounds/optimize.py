@@ -170,11 +170,10 @@ def minimize_1d(
         else:
             x = to_x(s_best)
             return OptResult(x, v_best, evals, converged=False, boundary=True)
-        if expansions >= 100:
-            boundary = True
-        if (obj.lo > -INF or obj.hi < INF) and abs(s_best) >= 550.0:
-            # exp-scale coordinate ran off: the infimum sits at an open end
-            boundary = True
+        # the expansion ran into an open end rather than an upturn: its
+        # stopping point maps onto the end, or onto the best point
+        x_next = to_x(s_next)
+        boundary = not obj.lo < x_next < obj.hi or x_next == to_x(s_best)
         a, b = s_best - step, s_best + step
     else:
         a, b = grid[i - 1], grid[i + 1]

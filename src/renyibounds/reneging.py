@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .divergence import (AlphaCurve, OrderLike, RrbInputs, RrbResult, as_order,
-                         poisson_renyi_rate, rrb_optimize)
+from .divergence import (AlphaCurve, RrbInputs, RrbResult, poisson_renyi_rate,
+                         rrb_optimize)
 from .families import PoissonReference, Q2, Q3, UncertaintyFamily, family_curve
 from .renewal import gamma_closed_form
 
@@ -103,7 +103,7 @@ class CompositeFamily:
         return self.arrival_envelope[1] * self.patience_envelope[1]
 
 
-def gamma_box_r2(box: GammaBox, a: OrderLike) -> float:
+def gamma_box_r2(box: GammaBox, a: float) -> float:
     """Supremum of the Gamma closed-form rate over the (k, rho) rectangle,
     which lies at one of its four corners: one array call on the 2 x 2 corners.
 
@@ -134,7 +134,7 @@ def gamma_box_r2(box: GammaBox, a: OrderLike) -> float:
     if isinstance(a, np.ndarray):
         v = gamma_closed_form(k[None, None, :], rho[None, :, :], a[:, None, None])
         return np.max(v, axis=(1, 2))
-    return float(np.max(gamma_closed_form(k, rho, as_order(a).alpha)))
+    return float(np.max(gamma_closed_form(k, rho, a)))
 
 
 def _service_curve(fam: ServiceFamily) -> AlphaCurve:

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .divergence import OrderLike, as_order
+from .divergence import as_order
 from .optimize import INF, ScalarObjective, maximize_1d, minimize_1d
 
 
@@ -335,13 +335,13 @@ def table_spec(xs, gs, name: str = "table") -> RenewalSpec:
 
 # -- closed forms -----------------------------------------------------------
 
-def exponential_exact_rdr(rho: float, a: OrderLike) -> float:
+def exponential_exact_rdr(rho: float, a: float) -> float:
     """Exact divergence rate of an Exp(rho) renewal process vs Poisson(1)."""
-    al = as_order(a).alpha
+    al = as_order(a)
     return (rho ** al - 1.0 - al * (rho - 1.0)) / (al * (al - 1.0))
 
 
-def gamma_closed_form(k, rho, a: OrderLike):
+def gamma_closed_form(k, rho, a: float):
     """Closed-form divergence-rate bound for a Gamma(k, rho) renewal process,
     k >= 1, rho > 1. Reduces to the exact exponential value at k = 1.
 
@@ -353,7 +353,7 @@ def gamma_closed_form(k, rho, a: OrderLike):
     rho = np.asarray(rho, dtype=float)
     if np.any(k < 1) or np.any(rho <= 1):
         raise ValueError("requires k >= 1 and rho > 1")
-    al = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else as_order(a).alpha
+    al = np.asarray(a, dtype=float) if isinstance(a, np.ndarray) else as_order(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = 1.0 + al * (k - 1.0)
         log_a = (gammaln(s) - al * gammaln(k) + al * k * np.log(rho)) / s
@@ -363,26 +363,26 @@ def gamma_closed_form(k, rho, a: OrderLike):
     return float(v) if v.ndim == 0 else v
 
 
-def phase_type_envelope_bound(C: float, sigma: float, a: OrderLike) -> float:
+def phase_type_envelope_bound(C: float, sigma: float, a: float) -> float:
     """Bound for any density dominated by C e^{-sigma x}, sigma > 1, C >= sigma."""
     if sigma <= 1 or C < sigma:
         raise ValueError("requires sigma > 1 and C >= sigma")
-    al = as_order(a).alpha
+    al = as_order(a)
     return (C ** al - 1.0 - al * (sigma - 1.0)) / (al * (al - 1.0))
 
 
 # -- bounds -----------------------------------------------------------------
 
-def rough_bound(spec: RenewalSpec, a: OrderLike) -> float:
-    al = as_order(a).alpha
+def rough_bound(spec: RenewalSpec, a: float) -> float:
+    al = as_order(a)
     if not np.isfinite(spec.h_bar):
         raise HypothesisViolationError("rough bound needs sup H finite")
     return (math.exp(al * spec.h_bar) - 1.0) / (al * (al - 1.0))
 
 
-def g1_bound(spec: RenewalSpec, a: OrderLike) -> float:
+def g1_bound(spec: RenewalSpec, a: float) -> float:
     """Infimum over conjugate pairs (p, q) of (gamma(q alpha)^{p/q} - 1)/p."""
-    al = as_order(a).alpha
+    al = as_order(a)
 
     def ghat(s: float) -> float:
         q = 1.0 + math.exp(s)
@@ -463,21 +463,21 @@ def _theta_dual_bound(spec: RenewalSpec, al: float, restrict_nonpos: bool,
     return max(v, 0.0) / (al * (al - 1.0))
 
 
-def g2_bound(spec: RenewalSpec, a: OrderLike, diagnostics: Optional[Dict] = None) -> float:
+def g2_bound(spec: RenewalSpec, a: float, diagnostics: Optional[Dict] = None) -> float:
     """Sharpened bound via the theta-family of constrained conjugate values,
     each evaluated in its single-variable dual form (exact under the bound's
     hypotheses and a valid upper bound in general)."""
-    al = as_order(a).alpha
+    al = as_order(a)
     _check_beta_near_origin(spec)
     return _theta_dual_bound(spec, al, restrict_nonpos=True, diagnostics=diagnostics)
 
 
-def g3_bound(spec: RenewalSpec, a: OrderLike, override: bool = False,
+def g3_bound(spec: RenewalSpec, a: float, override: bool = False,
              diagnostics: Optional[Dict] = None) -> float:
     """Sharpest bound; requires gamma(s) finite for all s <= 0 and sup H
     finite. override skips the hypothesis gate (unproven territory where the
     formula may still be exact, e.g. slow exponential densities)."""
-    al = as_order(a).alpha
+    al = as_order(a)
     if not override:
         _check_beta_near_origin(spec)
         if not np.isfinite(spec.h_bar):
@@ -500,9 +500,9 @@ class BoundReport:
     diagnostics: Dict[str, Dict] = field(default_factory=dict)
 
 
-def bound_report(spec: RenewalSpec, a: OrderLike, g3_override: bool = False) -> BoundReport:
+def bound_report(spec: RenewalSpec, a: float, g3_override: bool = False) -> BoundReport:
     """All applicable bounds for one spec/order, with hypothesis-gate notes."""
-    al = as_order(a).alpha
+    al = as_order(a)
     rep = BoundReport(alpha=al)
     for name, fn in (("rough", rough_bound), ("g1", g1_bound)):
         try:

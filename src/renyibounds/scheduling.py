@@ -17,8 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .divergence import (OrderLike, as_order, poisson_renyi_rate,
-                         relative_entropy_rate)
+from .divergence import as_order, poisson_renyi_rate, relative_entropy_rate
 from .optimize import INF, ScalarObjective, minimize_1d
 
 
@@ -160,7 +159,7 @@ def w_of_gamma(inst: SchedulingInstance, gamma) -> Tuple[float, np.ndarray]:
     return value, u
 
 
-def f0_of_alpha(inst: SchedulingInstance, a: OrderLike, family: str = "Q2"):
+def f0_of_alpha(inst: SchedulingInstance, a: float, family: str = "Q2"):
     """Divergence-rate penalty of the per-class hazard envelopes.
 
     family="Q2": worst endpoint per primitive, sum of (k(a) v k(b)) * rate.
@@ -230,8 +229,9 @@ def robust_rs_bound(inst: SchedulingInstance, family: str = "Q2") -> RobustBound
     """Infimum of the robust risk-sensitive objective over the tilt gamma.
 
     Optimized in gamma_tilde = 1/gamma on (0, 1/beta), where the objective
-    is convex; the open-boundary infimum (gamma -> infinity) is surfaced via
-    the boundary flag.
+    is convex; an infimum at an open end (gamma -> infinity, or gamma -> beta
+    as on the reference curve at larger beta) is surfaced via the boundary
+    flag.
     """
     b = inst.beta
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .divergence import OrderLike, as_order
+from .divergence import as_order
 from .optimize import INF
 from .renewal import RenewalSpec
 from .scheduling import SchedulingInstance
@@ -521,7 +521,7 @@ def _renewal_tilted_tables(spec: RenewalSpec, ref_rate: float, al: float):
 
 
 def mc_renyi_rate(q_spec: Union[PoissonProcess, CoxPiecewise, RenewalProcess],
-                  ref_rate: float, a: OrderLike, horizon: float, reps: int,
+                  ref_rate: float, a: float, horizon: float, reps: int,
                   seed: int = 0, sampling: str = "tilted") -> McEstimate:
     """Monte-Carlo estimate of the order-alpha divergence rate of q_spec
     against a Poisson(ref_rate) reference on [0, horizon].
@@ -539,7 +539,7 @@ def mc_renyi_rate(q_spec: Union[PoissonProcess, CoxPiecewise, RenewalProcess],
     sampled path. For deterministic intensities this is exact (zero
     variance); for renewal targets it has moderate variance at any horizon.
     """
-    al = as_order(a).alpha
+    al = as_order(a)
     abar = al * (al - 1.0)
     if reps < 2:
         raise ValueError("need at least two replications")

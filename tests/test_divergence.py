@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyibounds.divergence import (AlphaCurve, FiniteDistribution, RenyiOrder,
-                                    RrbInputs, as_order, jackson_compose,
+from renyibounds.divergence import (AlphaCurve, FiniteDistribution, RrbInputs,
+                                    as_order, jackson_compose,
                                     poisson_renyi_rate, relative_entropy_rate,
                                     renyi_divergence, rrb_optimize, rrb_upper)
 from renyibounds.optimize import INF
@@ -25,17 +25,16 @@ def _random_dist(rng, n):
 
 def test_order_validation():
     with pytest.raises(ValueError):
-        RenyiOrder(alpha=1.0)
+        as_order(1.0)
     with pytest.raises(ValueError):
-        RenyiOrder(alpha=0.5)
-    assert as_order("limit").is_limit
-    assert as_order(2).alpha == 2.0
+        as_order(0.5)
+    assert as_order(2) == 2.0
 
 
 def test_divergence_zero_on_equal():
     q = FiniteDistribution((0.2, 0.3, 0.5))
     assert renyi_divergence(q, q, 2.0) == 0.0
-    assert renyi_divergence(q, q, "limit") == 0.0
+    assert renyi_divergence(q, q, 1) == 0.0
 
 
 def test_divergence_two_point_hand_value():
@@ -58,7 +57,7 @@ def test_limit_order_is_relative_entropy():
     q = FiniteDistribution((0.6, 0.4))
     p = FiniteDistribution((0.3, 0.7))
     kl = 0.6 * math.log(0.6 / 0.3) + 0.4 * math.log(0.4 / 0.7)
-    assert abs(renyi_divergence(q, p, "limit") - kl) < 1e-14
+    assert abs(renyi_divergence(q, p, 1) - kl) < 1e-14
     # alpha near 1 approaches the relative entropy
     assert abs(renyi_divergence(q, p, 1.0 + 1e-7) - kl) < 1e-5
 
@@ -68,7 +67,7 @@ def test_divergence_additivity_over_products():
     for _ in range(20):
         q1, p1 = _random_dist(rng, 3), _random_dist(rng, 3)
         q2, p2 = _random_dist(rng, 4), _random_dist(rng, 4)
-        for al in (1.5, 2.0, 4.0, "limit"):
+        for al in (1.5, 2.0, 4.0, 1):
             lhs = renyi_divergence(q1.product(q2), p1.product(p2), al)
             rhs = renyi_divergence(q1, p1, al) + renyi_divergence(q2, p2, al)
             assert abs(lhs - rhs) < 1e-10
@@ -127,7 +126,6 @@ def test_poisson_rate_values():
 def test_poisson_rate_limit_continuity():
     for x in (0.5, 2.0):
         assert abs(poisson_renyi_rate(x, 1.001) - relative_entropy_rate(x)) < 1e-3
-    assert poisson_renyi_rate(0.7, "limit") == relative_entropy_rate(0.7)
 
 
 def test_poisson_rate_overflow_guard():

@@ -34,6 +34,14 @@ def test_monotone_objective_reports_boundary():
     assert res.value < 1e-8
 
 
+def test_expansion_into_open_end_reports_boundary():
+    # the infimum -inf sits at the open end x -> 1, where the expansion's
+    # stopping point rounds onto lo itself
+    res = minimize_1d(ScalarObjective(lambda x: math.log(x - 1.0), lo=1.0))
+    assert res.boundary
+    assert not res.converged
+
+
 def test_minimize_skips_infinite_plateau():
     def f(x):
         return INF if x < 1.0 else (x - 3.0) ** 2

@@ -219,6 +219,13 @@ def test_reneging_bound_is_the_order_search_result():
         search.alpha_star, search.bound * 2.0, search.converged, search.boundary)
 
 
+def test_order_search_at_alpha_one_reports_boundary():
+    # the hazard-band bound at the instance's typical rate is best as alpha -> 1
+    res = robust_reneging_bound(RenegingInstance(2, 1).at(2.0), default_families(0.3)["Q2"])
+    assert res.boundary
+    assert not res.converged
+
+
 def test_anchored_service_family_limits_alpha():
     fam = CompositeFamily(service_family=Q4(alpha0=2.0, u=0.1))
     res = robust_reneging_bound(INST.at(2.0), fam)
